@@ -51,9 +51,14 @@ race-trace:
 # concurrent invalidation against both a native and a VM machine. The
 # native code itself is invisible to the detector; what this proves is
 # that the Go side of the protocol (miss refills, link cache, counters)
-# adds no unsynchronized state.
+# adds no unsynchronized state. TestTraceNativeFP* is the scalar SSE2
+# battery: the per-op operand table, FP deopts and budget sweeps, the
+# no-progress retirement rule, and (in internal/bench) the Sec. VI line
+# kernels on all four engines plus their trace-engagement pin. On hosts
+# without the native backend the same tests run the traces on the VM.
 race-trace-native:
-	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly' ./internal/jit
+	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly|TestTraceReanchor|TestTraceAbortReasons' ./internal/jit
+	$(GO) test -race -count=1 -run 'TestTraceNativeFP' ./internal/bench
 
 # Persistence + fleet suite fresh under the race detector: two in-process
 # nodes, 32 concurrent identical requests, the exactly-one-compile

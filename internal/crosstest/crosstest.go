@@ -39,6 +39,11 @@ const (
 	// outer loop — the shape whose traces hand off through the
 	// trace-to-trace link cache.
 	FeatNestedLoop
+	// FeatFPLoop emits the stencil idiom: a counted loop that walks doubles
+	// in the scratch buffer with scalar SSE2 loads, combines each with a
+	// coefficient from memory and accumulates — the loop shape the trace
+	// tier compiles with its XMM lane model.
+	FeatFPLoop
 )
 
 // Program is one generated test program.
@@ -142,7 +147,7 @@ func (g *gen) scratchOp(size uint8) x86.Operand {
 // mapping from random index to shape is stable per mask.
 func (g *gen) features() []Feature {
 	var fs []Feature
-	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop} {
+	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop, FeatFPLoop} {
 		if g.mask&f != 0 {
 			fs = append(fs, f)
 		}
@@ -164,6 +169,8 @@ func (g *gen) emitChunk(fp bool) {
 			g.emitRepString()
 		case FeatNestedLoop:
 			g.emitAdjacentLoops()
+		case FeatFPLoop:
+			g.emitFPLoop()
 		}
 		return
 	}
@@ -402,6 +409,40 @@ func (g *gen) emitAdjacentLoops() {
 	g.b.Jcc(x86.CondNE, l2)
 	g.b.I(x86.SUB, x86.R64(x86.R11), x86.Imm(1, 8))
 	g.b.Jcc(x86.CondNE, top)
+}
+
+// emitFPLoop appends a scalar-double accumulate over the scratch buffer:
+// n doubles and one coefficient, converted from live integer state (so every
+// value is finite and the only NaN a run can produce is the default one,
+// whatever order a path evaluates its operands in), are stored to adjacent
+// slots; a counted loop then loads each, combines it with the coefficient
+// from memory, and accumulates in xmm4; the sum lands back in the buffer,
+// where every differential path compares it. Six or more iterations, so
+// under RunNative's thresholds the loop is recorded, compiled and finishes
+// inside its trace. r10/r11 and xmm4/xmm5 are outside every register pool.
+func (g *gen) emitFPLoop() {
+	n := 6 + g.r.Intn(6)
+	slots := (ScratchSize - 16) / 8
+	base := int32(8 * g.r.Intn(slots-n))
+	coef := x86.MemBD(8, x86.RDX, base+int32(8*n))
+	for i := 0; i <= n; i++ {
+		g.b.I(x86.CVTSI2SD, x86.X(x86.XMM5), x86.R64(g.pick()))
+		g.b.I(x86.MOVSD_X, x86.MemBD(8, x86.RDX, base+int32(8*i)), x86.X(x86.XMM5))
+	}
+	ops := []x86.Op{x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD}
+	op := ops[g.r.Intn(len(ops))]
+	g.b.I(x86.LEA, x86.R64(x86.R11), x86.MemBD(8, x86.RDX, base))
+	g.b.I(x86.MOV, x86.R64(x86.R10), x86.Imm(int64(n), 8))
+	g.b.I(x86.PXOR, x86.X(x86.XMM4), x86.X(x86.XMM4))
+	loop := g.b.NewLabel()
+	g.b.Bind(loop)
+	g.b.I(x86.MOVSD_X, x86.X(x86.XMM5), x86.MemBD(8, x86.R11, 0))
+	g.b.I(op, x86.X(x86.XMM5), coef)
+	g.b.I(x86.ADDSD, x86.X(x86.XMM4), x86.X(x86.XMM5))
+	g.b.I(x86.ADD, x86.R64(x86.R11), x86.Imm(8, 8))
+	g.b.I(x86.SUB, x86.R64(x86.R10), x86.Imm(1, 8))
+	g.b.Jcc(x86.CondNE, loop)
+	g.b.I(x86.MOVSD_X, x86.MemBD(8, x86.RDX, base), x86.X(x86.XMM4))
 }
 
 // Place loads the program into a fresh memory image with a scratch buffer

@@ -2,7 +2,9 @@ package crosstest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -466,6 +468,59 @@ func TestDifferentialMasked(t *testing.T) {
 	}
 	if !sawRep {
 		t.Error("no swept program contained a rep-string op: rep-string coverage lost")
+	}
+}
+
+// TestDifferentialFPLoop sweeps the scalar-FP-loop shape, alone and mixed
+// with the other feature chunks, through the relaxed harness: every path that
+// accepts a program — and the trace tier, which now compiles these loops —
+// must agree bit for bit on the result and the scratch buffer.
+func TestDifferentialFPLoop(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 4
+	}
+	sawLoop := false
+	for _, mask := range []Feature{FeatFPLoop, FeatFPLoop | FeatNestedLoop, FeatFPLoop | FeatNestedLoop | FeatRepString | FeatIndirect} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			p, err := GenerateWithMask(seed, mask)
+			if err != nil {
+				t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+			}
+			sawLoop = sawLoop || containsOp(p, x86.DIVSD) || containsOp(p, x86.PXOR)
+			runDifferentialRelaxed(t, p)
+		}
+	}
+	if !sawLoop {
+		t.Error("no swept program contained the FP loop: coverage lost")
+	}
+}
+
+// TestGeneratorStreamsPinned pins the byte streams of the generator for the
+// zero mask and every mask that existed before FeatFPLoop (hashes of seeds
+// 0..63, recorded at the commit before the feature was added): benchmark
+// workloads and corpus seeds draw their programs from these streams, so a new
+// chunk kind must not move them.
+func TestGeneratorStreamsPinned(t *testing.T) {
+	pins := map[Feature]string{
+		0:              "07d127da045fa575",
+		FeatIndirect:   "067e234b7a3af9ee",
+		FeatRepString:  "128e4837f0e40157",
+		FeatNestedLoop: "c59de946dcb393b5",
+		FeatIndirect | FeatRepString | FeatNestedLoop: "2f528cb170dd641b",
+	}
+	for mask, want := range pins {
+		h := sha256.New()
+		for seed := int64(0); seed < 64; seed++ {
+			p, err := GenerateWithMask(seed, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(p.Code)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want {
+			t.Errorf("mask %#x: generator stream hash %s, pinned %s", uint32(mask), got, want)
+		}
 	}
 }
 

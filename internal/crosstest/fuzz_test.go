@@ -26,17 +26,18 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/jit"
 	"repro/internal/x86"
 )
 
 // decodeFuzzSeed splits a raw fuzz input into (generator seed, feature
-// mask): the low 32 bits seed the generator, bits 32-34 select features.
+// mask): the low 32 bits seed the generator, bits 32-35 select features.
 // Plain small seeds — the whole historical corpus — decode to a zero mask
 // and the exact program they always produced; masked inputs reach the
-// jump-table, rep-string, and trace-linking nested-loop shapes, and the
-// fuzzer can mutate between the spaces freely.
+// jump-table, rep-string, trace-linking nested-loop and scalar-FP-loop
+// shapes, and the fuzzer can mutate between the spaces freely.
 func decodeFuzzSeed(raw int64) (int64, Feature) {
-	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 7)
+	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 15)
 }
 
 // encodeFuzzSeed is decodeFuzzSeed's inverse for pinning corpus entries.
@@ -64,6 +65,11 @@ func FuzzDifferential(f *testing.F) {
 	// Nested-loop seeds keep trace-to-trace linking under fuzz (pinned by
 	// TestFuzzCorpusEngagesTraceLinks; mirrored in testdata/fuzz).
 	for _, raw := range pinnedLinkSeeds {
+		f.Add(raw)
+	}
+	// FP-loop seeds keep the trace tier's scalar SSE2 subset under fuzz
+	// (pinned by TestFuzzCorpusEngagesFPTraces; mirrored in testdata/fuzz).
+	for _, raw := range pinnedFPLoopSeeds {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw int64) {
@@ -109,6 +115,18 @@ var pinnedLinkSeeds = []int64{
 	encodeFuzzSeed(28, FeatNestedLoop),
 	encodeFuzzSeed(9, FeatNestedLoop|FeatRepString),
 	encodeFuzzSeed(28, FeatNestedLoop|FeatRepString|FeatIndirect),
+}
+
+// pinnedFPLoopSeeds are FP-loop corpus entries whose scalar-double loops
+// provably compile to traces and retire iterations in them under RunNative's
+// thresholds (verified by TestFuzzCorpusEngagesFPTraces). The masked pair
+// puts linked integer loops, rep-string blocks and jump tables around them.
+var pinnedFPLoopSeeds = []int64{
+	encodeFuzzSeed(5, FeatFPLoop),
+	encodeFuzzSeed(28, FeatFPLoop),
+	encodeFuzzSeed(34, FeatFPLoop),
+	encodeFuzzSeed(18, FeatFPLoop|FeatNestedLoop),
+	encodeFuzzSeed(18, FeatFPLoop|FeatNestedLoop|FeatRepString|FeatIndirect),
 }
 
 // TestFuzzCorpusHitsHardIdioms pins that the masked corpus seeds actually
@@ -191,6 +209,57 @@ func TestFuzzCorpusEngagesTraceLinks(t *testing.T) {
 		if after.Links == before.Links {
 			t.Errorf("seed %d mask %#x: no trace link (compiled %d): linking coverage lost",
 				seed, mask, after.Compiled-before.Compiled)
+		}
+	}
+}
+
+// TestFuzzCorpusEngagesFPTraces pins the FP-loop corpus seeds to the trace
+// tier's scalar SSE2 subset: each must compile at least one trace whose
+// recording holds scalar-double arithmetic, and retire loop iterations in
+// compiled traces, under RunNative's thresholds. A wrapper around the
+// registered compiler looks at what was recorded; it is removed again before
+// the test returns.
+func TestFuzzCorpusEngagesFPTraces(t *testing.T) {
+	fpCompiled := 0
+	emu.RegisterTraceCompiler(func(req *emu.TraceRequest) (emu.TraceRunFunc, error) {
+		run, err := jit.CompileTrace(req)
+		if err == nil {
+			for _, st := range req.Steps {
+				switch st.In.Op {
+				case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
+					fpCompiled++
+					return run, nil
+				}
+			}
+		}
+		return run, err
+	})
+	defer emu.RegisterTraceCompiler(jit.CompileTrace)
+	for _, raw := range pinnedFPLoopSeeds {
+		seed, mask := decodeFuzzSeed(raw)
+		if mask&FeatFPLoop == 0 {
+			t.Fatalf("pinned FP-loop seed %#x decodes to mask %#x", raw, mask)
+		}
+		p, err := GenerateWithMask(seed, mask)
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+		}
+		mem, entry, scratch, err := p.Place()
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: place: %v", seed, mask, err)
+		}
+		fpCompiled = 0
+		before := emu.ReadTraceStats()
+		if _, _, err := RunNative(mem, entry, scratch, p, 3, 5); err != nil {
+			t.Fatalf("seed %d mask %#x: run: %v", seed, mask, err)
+		}
+		after := emu.ReadTraceStats()
+		if fpCompiled == 0 {
+			t.Errorf("seed %d mask %#x: no trace with scalar-double arithmetic compiled (aborts by reason %v): FP trace coverage lost",
+				seed, mask, after.AbortedBy)
+		}
+		if after.Iters == before.Iters {
+			t.Errorf("seed %d mask %#x: no iteration retired inside a trace", seed, mask)
 		}
 	}
 }

@@ -328,13 +328,13 @@ func bindExec(in *x86.Inst) execFn {
 		return bindMovQ(in)
 
 	case x86.ADDSD:
-		return bindScalarF64(in, func(a, b float64) float64 { return a + b })
+		return bindScalarF64(in, AddF64)
 	case x86.SUBSD:
-		return bindScalarF64(in, func(a, b float64) float64 { return a - b })
+		return bindScalarF64(in, SubF64)
 	case x86.MULSD:
-		return bindScalarF64(in, func(a, b float64) float64 { return a * b })
+		return bindScalarF64(in, MulF64)
 	case x86.DIVSD:
-		return bindScalarF64(in, func(a, b float64) float64 { return a / b })
+		return bindScalarF64(in, DivF64)
 	case x86.MINSD:
 		return bindScalarF64(in, func(a, b float64) float64 {
 			if b < a {
@@ -359,13 +359,13 @@ func bindExec(in *x86.Inst) execFn {
 		return bindScalarF32(in, func(a, b float32) float32 { return a / b })
 
 	case x86.ADDPD:
-		return bindPackedF64(in, func(a, b float64) float64 { return a + b })
+		return bindPackedF64(in, AddF64)
 	case x86.SUBPD:
-		return bindPackedF64(in, func(a, b float64) float64 { return a - b })
+		return bindPackedF64(in, SubF64)
 	case x86.MULPD:
-		return bindPackedF64(in, func(a, b float64) float64 { return a * b })
+		return bindPackedF64(in, MulF64)
 	case x86.DIVPD:
-		return bindPackedF64(in, func(a, b float64) float64 { return a / b })
+		return bindPackedF64(in, DivF64)
 
 	case x86.XORPS, x86.XORPD, x86.PXOR:
 		return bindBitwise(in, func(a, b uint64) uint64 { return a ^ b })

@@ -129,6 +129,18 @@ func (b *Block) installTrace(t *traceEntry) (installed, wasEmpty bool) {
 	return true, wasEmpty
 }
 
+// retireTrace removes t from the head and blacklists the head: the block
+// engine takes over at no residual cost per arrival. A link cached on
+// another trace still finds the head but selectTrace no longer returns t.
+func (b *Block) retireTrace(t *traceEntry) {
+	for i, e := range &b.traces {
+		if e == t {
+			b.traces[i] = nil
+		}
+	}
+	b.abortTrace(AbortNoProgress)
+}
+
 // wantsTrace reports whether a backward-edge arrival under ctx should count
 // toward recording a (further) trace on this head: always before the first
 // trace, and afterwards only when the arrival context matches no installed

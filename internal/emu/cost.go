@@ -105,13 +105,23 @@ func (c *CostModel) InstCost(in *x86.Inst) float64 {
 }
 
 // MemPenalty returns the extra cost of a memory access at addr of the given
-// size: cache-line splits and unaligned vector accesses.
+// size: cache-line splits and unaligned vector accesses. Every emulated
+// memory access lands here, so the line offset of the power-of-two case
+// (every real cache) is a mask, not a hardware divide. The body is kept
+// within the inliner's budget for Machine.accountMem, which the bound
+// accessors inline in turn (`go build -gcflags=-m ./internal/emu` says
+// "can inline (*Machine).accountMem"); past it, every access pays two calls.
 func (c *CostModel) MemPenalty(addr uint64, size int, write bool) float64 {
 	var p float64
 	if size == 16 && addr%16 != 0 {
 		p += c.UnalignedVecPenalty
 	}
-	if addr%c.LineSize+uint64(size) > c.LineSize {
+	line := c.LineSize
+	off := addr & (line - 1)
+	if line&(line-1) != 0 {
+		off = addr % line
+	}
+	if off+uint64(size) > line {
 		p += c.SplitPenalty
 		if write {
 			p += c.SplitPenalty // split stores are worse on Haswell

@@ -54,6 +54,28 @@ func (m *Machine) writeXMMMem(in *x86.Inst, o x86.Operand, v XMMReg, size int) e
 	return fmt.Errorf("emu: bad SSE store size %d", size)
 }
 
+// AddF64, SubF64, MulF64 and DivF64 are the double-precision arithmetic of
+// ADDSD/SUBSD/MULSD/DIVSD and their packed forms. The interpreter, the block
+// engine and the trace VM all call these four and nothing inlines them, so
+// every engine executes the same compiled instruction: when both operands are
+// NaN the result carries the payload of whichever the host instruction takes
+// as destination, and a Go compiler that commuted an inlined a+b at one call
+// site but not another would make the engines disagree. (Native traces order
+// the operands themselves; TestTraceNativeFP's both-NaN rows compare them
+// with these.)
+//
+//go:noinline
+func AddF64(a, b float64) float64 { return a + b }
+
+//go:noinline
+func SubF64(a, b float64) float64 { return a - b }
+
+//go:noinline
+func MulF64(a, b float64) float64 { return a * b }
+
+//go:noinline
+func DivF64(a, b float64) float64 { return a / b }
+
 // scalarF64 applies op to the low double lanes, preserving the upper lane of
 // dst (standard SSE scalar semantics).
 func (m *Machine) scalarF64(in *x86.Inst, op func(a, b float64) float64) error {
@@ -245,13 +267,13 @@ func (m *Machine) execSSE(in *x86.Inst) error {
 		return m.writeXMMMem(in, in.Dst, *m.xmmOf(in.Src), 8)
 
 	case x86.ADDSD:
-		return m.scalarF64(in, func(a, b float64) float64 { return a + b })
+		return m.scalarF64(in, AddF64)
 	case x86.SUBSD:
-		return m.scalarF64(in, func(a, b float64) float64 { return a - b })
+		return m.scalarF64(in, SubF64)
 	case x86.MULSD:
-		return m.scalarF64(in, func(a, b float64) float64 { return a * b })
+		return m.scalarF64(in, MulF64)
 	case x86.DIVSD:
-		return m.scalarF64(in, func(a, b float64) float64 { return a / b })
+		return m.scalarF64(in, DivF64)
 	case x86.MINSD:
 		return m.scalarF64(in, func(a, b float64) float64 {
 			if b < a {
@@ -278,13 +300,13 @@ func (m *Machine) execSSE(in *x86.Inst) error {
 		return m.scalarF32(in, func(a, b float32) float32 { return a / b })
 
 	case x86.ADDPD:
-		return m.packedF64(in, func(a, b float64) float64 { return a + b })
+		return m.packedF64(in, AddF64)
 	case x86.SUBPD:
-		return m.packedF64(in, func(a, b float64) float64 { return a - b })
+		return m.packedF64(in, SubF64)
 	case x86.MULPD:
-		return m.packedF64(in, func(a, b float64) float64 { return a * b })
+		return m.packedF64(in, MulF64)
 	case x86.DIVPD:
-		return m.packedF64(in, func(a, b float64) float64 { return a / b })
+		return m.packedF64(in, DivF64)
 	case x86.ADDPS:
 		return m.packedF32(in, func(a, b float32) float32 { return a + b })
 	case x86.SUBPS:

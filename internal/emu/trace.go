@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -95,13 +96,56 @@ type TraceRequest struct {
 // loop iterations and returns the completed iterations, the instructions
 // retired in the final partial iteration (0 when the trace exited at the
 // loop header), and the RIP to resume the block engine at. On return the
-// machine's GPR and Flags are fully materialized; the caller settles RIP,
-// InstCount and Cycles from the returned counts.
+// machine's GPR, XMM and Flags are fully materialized; the caller settles
+// RIP, InstCount and Cycles from the returned counts.
 type TraceRunFunc func(m *Machine, iterCap uint64) (iters, steps uint64, rip uint64)
 
 // TraceCompiler builds a native executor for a recorded trace, or reports
-// that the trace cannot be compiled (unsupported instructions).
+// that the trace cannot be compiled. An error wrapping ErrTraceUnsupported
+// means the recording holds an instruction outside the trace tier's set;
+// anything else is a failure of the compiler itself.
 type TraceCompiler func(*TraceRequest) (TraceRunFunc, error)
+
+// ErrTraceUnsupported marks a trace compile refused because of what was
+// recorded (an instruction or operand shape the trace tier does not model).
+var ErrTraceUnsupported = errors.New("unsupported in trace")
+
+// TraceAbortReason says why a head was blacklisted.
+type TraceAbortReason uint8
+
+// Abort reasons. The first four end a recording, the next two fail its
+// compile, the last retires an installed trace.
+const (
+	// AbortCall: the recorded path reached a direct call.
+	AbortCall TraceAbortReason = iota
+	// AbortRet: the recorded path reached a return.
+	AbortRet
+	// AbortIndirect: the recorded path reached an indirect jump or call.
+	AbortIndirect
+	// AbortTooLong: the path outgrew TraceOptions.MaxInsts or MaxBlocks
+	// before closing.
+	AbortTooLong
+	// AbortUnsupportedOp: the compiler refused a recorded instruction
+	// (ErrTraceUnsupported).
+	AbortUnsupportedOp
+	// AbortCompileError: the compiler failed for any other reason.
+	AbortCompileError
+	// AbortNoProgress: an installed trace was retired because its runs
+	// kept deoptimizing before the first instruction.
+	AbortNoProgress
+	NumTraceAbortReasons
+)
+
+var traceAbortNames = [NumTraceAbortReasons]string{
+	"call", "ret", "indirect", "too-long", "unsupported-op", "compile-error", "no-progress",
+}
+
+func (r TraceAbortReason) String() string {
+	if r < NumTraceAbortReasons {
+		return traceAbortNames[r]
+	}
+	return fmt.Sprintf("abort%d", uint8(r))
+}
 
 var traceCompiler atomic.Value // TraceCompiler
 
@@ -123,9 +167,11 @@ type TraceStats struct {
 	// Compiled counts successfully compiled traces (O1), CompiledO3 the
 	// level-3 recompiles of re-hot traces.
 	Compiled, CompiledO3 uint64
-	// Aborted counts recordings or compiles that failed and blacklisted
-	// their head.
-	Aborted uint64
+	// Aborted counts recordings or compiles that failed, and installed
+	// traces that were retired, each blacklisting its head; AbortedBy
+	// splits the same count by reason.
+	Aborted   uint64
+	AbortedBy [NumTraceAbortReasons]uint64
 	// Runs counts trace executions, Iters the completed loop iterations
 	// across all runs, SideExits the runs that left mid-iteration through
 	// a guard or deoptimizing memory access.
@@ -142,16 +188,24 @@ type TraceStats struct {
 }
 
 var traceCounters struct {
-	compiled, compiledO3, aborted, runs, iters, sideExits  atomic.Uint64
+	compiled, compiledO3, runs, iters, sideExits           atomic.Uint64
 	nativeCompiled, nativeDeopts, links, linkInvalidations atomic.Uint64
+	aborted                                                [NumTraceAbortReasons]atomic.Uint64
 }
 
 // ReadTraceStats snapshots the process-wide trace-tier counters.
 func ReadTraceStats() TraceStats {
+	var by [NumTraceAbortReasons]uint64
+	var aborted uint64
+	for i := range by {
+		by[i] = traceCounters.aborted[i].Load()
+		aborted += by[i]
+	}
 	return TraceStats{
 		Compiled:          traceCounters.compiled.Load(),
 		CompiledO3:        traceCounters.compiledO3.Load(),
-		Aborted:           traceCounters.aborted.Load(),
+		Aborted:           aborted,
+		AbortedBy:         by,
 		Runs:              traceCounters.runs.Load(),
 		Iters:             traceCounters.iters.Load(),
 		SideExits:         traceCounters.sideExits.Load(),
@@ -181,8 +235,12 @@ type traceEntry struct {
 	costs []float64 // per-step modelled cost, replayed in program order
 	T     uint64    // len(costs)
 	req   *TraceRequest
+	head  *Block
 	runs  uint64
-	o3    bool
+	// stalls counts consecutive runs that retired nothing; at
+	// traceRetireStalls the trace is retired (runTrace).
+	stalls uint32
+	o3     bool
 	// [lo, hi) spans every recorded instruction, for InvalidateRange.
 	lo, hi uint64
 	// ctx is the entry context the trace was recorded under: the side-exit
@@ -196,6 +254,13 @@ type traceEntry struct {
 	// re-resolved on next use (counted as a link invalidation).
 	links []traceLink
 }
+
+// traceRetireStalls is the number of consecutive zero-instruction runs after
+// which a trace is retired. A run retires nothing only when the access of the
+// head's first instruction deoptimizes (penalized, faulting or watched), and
+// 32 in a row means the data does that every time: each further arrival
+// would pay a trace entry to execute nothing.
+const traceRetireStalls = 32
 
 // maxTraceLinks bounds the per-trace link cache; a trace has only a handful
 // of side exits, so a tiny linear-scanned slice beats a map.
@@ -215,6 +280,18 @@ type traceRecorder struct {
 	steps   []TraceStep
 	pending int // index of an unresolved conditional branch, or -1
 	blocks  int
+	// While outer is set the recording is re-anchored (note): it is trying
+	// to close at the head of the enclosing loop [outerPC, outerEnd], whose
+	// path begins at steps[start]. innerEnd is len(steps) at the path's
+	// first return to headPC — where it would have closed otherwise — and
+	// steps[:innerEnd] is the trace the head gets if the enclosing loop
+	// does not close. reanchored stays set so that it is tried once.
+	outer      *Block
+	outerPC    uint64
+	outerEnd   uint64
+	start      int
+	innerEnd   int
+	reanchored bool
 }
 
 func startRecording(head *Block, pc, ctx uint64) *traceRecorder {
@@ -225,18 +302,57 @@ func startRecording(head *Block, pc, ctx uint64) *traceRecorder {
 // block's branch direction from the arrived-at pc, closes the trace when
 // the path returns to the head, and otherwise appends the block's steps.
 // It returns nil when recording ended (closed or aborted).
+//
+// A back edge to below the head means the recording began on the last
+// iteration of the head's loop, left it, and reached the back edge of an
+// enclosing loop. Closing at the head then gives a rotated trace of the
+// enclosing loop that holds one iteration of the head's own loop and so
+// fails its guard on every other. The recording re-anchors instead: it tries
+// to close at the enclosing head, where one iteration with the inner loop
+// unrolled along the way is a path that stays in its trace. If the path
+// leaves the enclosing loop first, or cannot be compiled, recording goes on
+// exactly as it would have without re-anchoring.
 func (r *traceRecorder) note(m *Machine, b *Block, pc uint64) *traceRecorder {
 	if r.pending >= 0 {
 		in := r.steps[r.pending].In
 		r.steps[r.pending].Taken = pc == uint64(in.Dst.Imm)
 		r.pending = -1
 	}
-	if len(r.steps) > 0 && pc == r.headPC {
-		m.finishTrace(r)
-		return nil
+	if r.outer != nil {
+		closed := pc == r.outerPC
+		if closed && r.finish(m, r.outer, r.outerPC, r.steps[r.start:]) == nil {
+			return nil
+		}
+		if r.innerEnd == 0 && pc == r.headPC {
+			r.innerEnd = len(r.steps)
+		}
+		if closed || pc < r.outerPC || pc > r.outerEnd {
+			if r.innerEnd > 0 {
+				r.closeAt(m, r.innerEnd)
+				return nil
+			}
+			r.outer, r.start = nil, 0
+		}
+	} else if len(r.steps) > 0 {
+		if pc == r.headPC {
+			r.closeAt(m, len(r.steps))
+			return nil
+		}
+		if last := r.steps[len(r.steps)-1].In.Addr; pc < r.headPC && pc <= last && !r.reanchored && !b.noTrace {
+			if b.selectTrace(r.ctx) != nil {
+				// The enclosing loop has its trace, which this path joins
+				// at the next arrival there; a trace closed at the head
+				// would run through the enclosing head and keep the path
+				// from ever entering it. The head stays free to be
+				// recorded on another iteration.
+				return nil
+			}
+			r.outer, r.outerPC, r.outerEnd, r.start, r.reanchored = b, pc, last, len(r.steps), true
+			b.hot = 0
+		}
 	}
-	if r.blocks++; r.blocks > m.TraceOpts.maxBlocks() || len(r.steps)+len(b.steps) > m.TraceOpts.maxInsts() {
-		r.abort()
+	if r.blocks++; r.blocks > m.TraceOpts.maxBlocks() || len(r.steps)-r.start+len(b.steps) > m.TraceOpts.maxInsts() {
+		r.abort(m, AbortTooLong)
 		return nil
 	}
 	for i := range b.steps {
@@ -244,11 +360,18 @@ func (r *traceRecorder) note(m *Machine, b *Block, pc uint64) *traceRecorder {
 		r.steps = append(r.steps, TraceStep{In: st.in, Cost: st.cost})
 	}
 	if len(b.steps) > 0 {
+		// The successor of a return or an indirect branch is data-dependent
+		// and a call leaves the frame; traces only follow static control
+		// flow.
 		switch term := b.steps[len(b.steps)-1].in; term.Op {
-		case x86.RET, x86.JMPIndirect, x86.CALL, x86.CALLIndirect:
-			// The successor is data-dependent (or leaves the frame);
-			// traces only follow static control flow.
-			r.abort()
+		case x86.RET:
+			r.abort(m, AbortRet)
+			return nil
+		case x86.JMPIndirect, x86.CALLIndirect:
+			r.abort(m, AbortIndirect)
+			return nil
+		case x86.CALL:
+			r.abort(m, AbortCall)
 			return nil
 		case x86.JCC:
 			r.pending = len(r.steps) - 1
@@ -257,26 +380,53 @@ func (r *traceRecorder) note(m *Machine, b *Block, pc uint64) *traceRecorder {
 	return r
 }
 
-func (r *traceRecorder) abort() {
-	r.head.noTrace = true
-	traceCounters.aborted.Add(1)
+// closeAt ends the recording as a trace of its head over steps[:n].
+func (r *traceRecorder) closeAt(m *Machine, n int) {
+	if err := r.finish(m, r.head, r.headPC, r.steps[:n]); err != nil {
+		r.head.abortTrace(compileAbortReason(err))
+	}
 }
 
-// finishTrace compiles the closed recording and installs it on the head.
-func (m *Machine) finishTrace(r *traceRecorder) {
-	comp := loadTraceCompiler()
-	req := &TraceRequest{Head: r.headPC, Steps: r.steps, Mem: m.Mem, Cost: m.Cost,
-		NoNative: m.TraceOpts.NoNativeTraces}
-	run, err := comp(req)
-	if err != nil {
-		r.abort()
+// abort ends a recording whose path cannot go on. A re-anchored recording
+// that did come back to its head closes there; any other blacklists the
+// head, as the same path would have done without re-anchoring.
+func (r *traceRecorder) abort(m *Machine, why TraceAbortReason) {
+	if r.outer != nil && r.innerEnd > 0 {
+		r.closeAt(m, r.innerEnd)
 		return
 	}
-	costs := make([]float64, len(r.steps))
+	r.head.abortTrace(why)
+}
+
+// abortTrace blacklists the head so the dispatcher neither re-records it nor
+// counts its arrivals, and counts why.
+func (b *Block) abortTrace(why TraceAbortReason) {
+	b.noTrace = true
+	traceCounters.aborted[why].Add(1)
+}
+
+// compileAbortReason classifies a trace compiler's error.
+func compileAbortReason(err error) TraceAbortReason {
+	if errors.Is(err, ErrTraceUnsupported) {
+		return AbortUnsupportedOp
+	}
+	return AbortCompileError
+}
+
+// finish compiles the closed path steps and installs it on head; an error
+// is the compiler's.
+func (r *traceRecorder) finish(m *Machine, head *Block, headPC uint64, steps []TraceStep) error {
+	req := &TraceRequest{Head: headPC, Steps: steps, Mem: m.Mem, Cost: m.Cost,
+		NoNative: m.TraceOpts.NoNativeTraces}
+	run, err := loadTraceCompiler()(req)
+	if err != nil {
+		return err
+	}
+	costs := make([]float64, len(steps))
 	lo, hi := ^uint64(0), uint64(0)
-	for i := range r.steps {
-		costs[i] = r.steps[i].Cost
-		a, e := r.steps[i].In.Addr, r.steps[i].In.Addr+uint64(r.steps[i].In.Len)
+	for i := range steps {
+		costs[i] = steps[i].Cost
+		a, e := steps[i].In.Addr, steps[i].In.Addr+uint64(steps[i].In.Len)
 		if a < lo {
 			lo = a
 		}
@@ -285,17 +435,18 @@ func (m *Machine) finishTrace(r *traceRecorder) {
 		}
 	}
 	t := &traceEntry{run: run, costs: costs, T: uint64(len(costs)), req: req,
-		lo: lo, hi: hi, ctx: r.ctx}
-	installed, wasEmpty := r.head.installTrace(t)
+		head: head, lo: lo, hi: hi, ctx: r.ctx}
+	installed, wasEmpty := head.installTrace(t)
 	if !installed {
 		// All slots taken (another recording won the race within this
 		// machine); drop the compile without blacklisting the head.
-		return
+		return nil
 	}
 	if wasEmpty {
-		m.traced = append(m.traced, r.head)
+		m.traced = append(m.traced, head)
 	}
 	traceCounters.compiled.Add(1)
+	return nil
 }
 
 // runTrace executes a compiled trace — and any chain of linked traces its
@@ -367,8 +518,12 @@ func (m *Machine) runTrace(t *traceEntry, maxInst uint64, n *uint64) (progressed
 			return true, fmt.Errorf("emu: instruction budget of %d exhausted at %#x", maxInst, m.RIP)
 		}
 		if retired == 0 {
+			if t.stalls++; t.stalls >= traceRetireStalls {
+				t.head.retireTrace(t)
+			}
 			return progressed, nil
 		}
+		t.stalls = 0
 		progressed = true
 		// Trace-to-trace linking: if the exit RIP is another compiled trace
 		// head, hand off directly instead of bouncing through block

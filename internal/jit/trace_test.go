@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -444,5 +445,193 @@ func TestTraceIndirectJumpAborts(t *testing.T) {
 	}
 	if aborts := after.Aborted - before.Aborted; aborts != 1 {
 		t.Errorf("recording aborted %d times, want exactly 1: head was not blacklisted", aborts)
+	}
+	if n := after.AbortedBy[emu.AbortIndirect] - before.AbortedBy[emu.AbortIndirect]; n != 1 {
+		t.Errorf("%d aborts counted as %v, want 1 (by reason: %v)", n, emu.AbortIndirect, after.AbortedBy)
+	}
+}
+
+// TestTraceAbortReasons drives one loop per abort reason through the trace
+// tier and checks that exactly that reason is counted, that the summed
+// Aborted field moves with it, and that state stays the interpreter's.
+func TestTraceAbortReasons(t *testing.T) {
+	counted := func(b *asm.Builder, n int64, body func()) {
+		b.I(x86.MOV, x86.R64(x86.RCX), x86.Imm(n, 8))
+		loop := b.NewLabel()
+		b.Bind(loop)
+		b.I(x86.ADD, x86.R64(x86.RAX), x86.R64(x86.RCX))
+		body()
+		b.I(x86.SUB, x86.R64(x86.RCX), x86.Imm(1, 8))
+		b.Jcc(x86.CondNE, loop)
+		b.Ret()
+	}
+	call := func(b *asm.Builder) func() {
+		return func() {
+			next := b.NewLabel()
+			b.CallLabel(next)
+			b.Bind(next)
+			b.I(x86.ADD, x86.R64(x86.RSP), x86.Imm(8, 8))
+		}
+	}
+	cases := []struct {
+		name  string
+		opts  emu.TraceOptions
+		build func(b *asm.Builder)
+		comp  emu.TraceCompiler
+		want  map[emu.TraceAbortReason]uint64
+	}{
+		{name: "call", opts: hotOpts,
+			build: func(b *asm.Builder) { counted(b, 50, call(b)) },
+			want:  map[emu.TraceAbortReason]uint64{emu.AbortCall: 1}},
+		// Three iterations: the first backward arrival is the last
+		// iteration, so the recorded path runs into the ret.
+		{name: "ret", opts: hotOpts,
+			build: func(b *asm.Builder) { counted(b, 3, func() {}) },
+			want:  map[emu.TraceAbortReason]uint64{emu.AbortRet: 1}},
+		{name: "too-long", opts: emu.TraceOptions{HotThreshold: 1, MaxInsts: 3},
+			build: func(b *asm.Builder) { counted(b, 50, func() { b.I(x86.XOR, x86.R64(x86.RAX), x86.Imm(5, 8)) }) },
+			want:  map[emu.TraceAbortReason]uint64{emu.AbortTooLong: 1}},
+		{name: "unsupported-op", opts: hotOpts,
+			build: func(b *asm.Builder) { counted(b, 50, func() { b.I(x86.ADC, x86.R64(x86.RAX), x86.R64(x86.RCX)) }) },
+			want:  map[emu.TraceAbortReason]uint64{emu.AbortUnsupportedOp: 1}},
+		{name: "compile-error", opts: hotOpts,
+			build: func(b *asm.Builder) { counted(b, 50, func() {}) },
+			comp:  func(*emu.TraceRequest) (emu.TraceRunFunc, error) { return nil, errors.New("backend on fire") },
+			want:  map[emu.TraceAbortReason]uint64{emu.AbortCompileError: 1}},
+	}
+	for r, want := range []string{"call", "ret", "indirect", "too-long",
+		"unsupported-op", "compile-error", "no-progress"} {
+		if got := emu.TraceAbortReason(r).String(); got != want {
+			t.Errorf("reason %d is named %q, want %q", r, got, want)
+		}
+	}
+	for _, tc := range cases {
+		code := assembleAt(t, 0x5000, tc.build)
+		ref := runSnippet(t, code, modeInterp, 0, nil)
+		if tc.comp != nil {
+			emu.RegisterTraceCompiler(tc.comp)
+		}
+		before := emu.ReadTraceStats()
+		mem := emu.NewMemory(0x1000000)
+		if _, err := mem.MapBytes(0x5000, code, "code"); err != nil {
+			t.Fatal(err)
+		}
+		m := emu.NewMachine(mem)
+		m.Traces = true
+		m.TraceOpts = tc.opts
+		_, err := m.Call(0x5000, emu.CallArgs{}, 0)
+		after := emu.ReadTraceStats()
+		emu.RegisterTraceCompiler(CompileTrace)
+		diffStates(t, tc.name, ref, snapshot(m, err), modeInterp, modeTraces)
+		var sum uint64
+		for r := emu.TraceAbortReason(0); r < emu.NumTraceAbortReasons; r++ {
+			n := after.AbortedBy[r] - before.AbortedBy[r]
+			sum += n
+			if n != tc.want[r] {
+				t.Errorf("%s: %d aborts counted as %v, want %d", tc.name, n, r, tc.want[r])
+			}
+		}
+		if d := after.Aborted - before.Aborted; d != sum {
+			t.Errorf("%s: Aborted moved by %d, its reasons by %d", tc.name, d, sum)
+		}
+		if after.Compiled != before.Compiled {
+			t.Errorf("%s: compiled %d traces, want 0", tc.name, after.Compiled-before.Compiled)
+		}
+	}
+}
+
+// loopNest is a counted outer loop around a three-iteration inner loop. The
+// inner head's first backward arrival is its last iteration, so under
+// hotOpts its recording always leaves the inner loop.
+func loopNest(outerTrips int64) func(b *asm.Builder) {
+	return func(b *asm.Builder) {
+		b.I(x86.MOV, x86.R64(x86.RBX), x86.Imm(outerTrips, 8))
+		outer := b.NewLabel()
+		b.Bind(outer)
+		b.I(x86.MOV, x86.R64(x86.RCX), x86.Imm(3, 8))
+		inner := b.NewLabel()
+		b.Bind(inner)
+		b.I(x86.ADD, x86.R64(x86.RAX), x86.R64(x86.RCX))
+		b.I(x86.SUB, x86.R64(x86.RCX), x86.Imm(1, 8))
+		b.Jcc(x86.CondNE, inner)
+		b.I(x86.XOR, x86.R64(x86.RAX), x86.R64(x86.RBX))
+		b.I(x86.SUB, x86.R64(x86.RBX), x86.Imm(1, 8))
+		b.Jcc(x86.CondNE, outer)
+		b.Ret()
+	}
+}
+
+// callRepeatedly calls the snippet n times on one machine and returns the
+// final state and the trace counters as they stood after the first call.
+func callRepeatedly(t *testing.T, code []byte, mode engineMode, n int) (traceState, emu.TraceStats) {
+	t.Helper()
+	mem := emu.NewMemory(0x1000000)
+	if _, err := mem.MapBytes(0x5000, code, "code"); err != nil {
+		t.Fatal(err)
+	}
+	m := emu.NewMachine(mem)
+	configure(m, mode)
+	var first emu.TraceStats
+	var err error
+	for i := 0; i < n; i++ {
+		_, err = m.Call(0x5000, emu.CallArgs{}, 0)
+		if i == 0 {
+			first = emu.ReadTraceStats()
+		}
+	}
+	return snapshot(m, err), first
+}
+
+// TestTraceReanchorsAtEnclosingLoop pins what happens to a recording that
+// begins on the last iteration of a short inner loop: the path leaves the
+// inner loop and reaches the back edge of the outer one, and the recording
+// tries to close there instead of at the inner head. The result is one trace
+// of the outer loop with the inner loop unrolled along it, which stays in
+// its loop for the whole call. Every later call re-heats the inner head on
+// the outer loop's first iteration; that recording stops at the outer head,
+// which has its trace by then, without a second trace and without an abort.
+func TestTraceReanchorsAtEnclosingLoop(t *testing.T) {
+	code := assembleAt(t, 0x5000, loopNest(400))
+	ref, _ := callRepeatedly(t, code, modeInterp, 10)
+	before := emu.ReadTraceStats()
+	got, first := callRepeatedly(t, code, modeTraces, 10)
+	after := emu.ReadTraceStats()
+	diffStates(t, "re-anchored nest", ref, got, modeInterp, modeTraces)
+	if n := first.Compiled - before.Compiled; n != 1 {
+		t.Errorf("first call compiled %d traces, want the one outer-loop trace", n)
+	}
+	if n := after.Compiled - first.Compiled; n != 0 {
+		t.Errorf("later calls compiled %d more traces, want none", n)
+	}
+	if n := after.Aborted - before.Aborted; n != 0 {
+		t.Errorf("%d aborts (by reason %v), want none", n, after.AbortedBy)
+	}
+	runs, iters := after.Runs-before.Runs, after.Iters-before.Iters
+	if runs == 0 || iters/runs < 100 {
+		t.Errorf("%d iterations over %d runs: the trace does not stay in the outer loop", iters, runs)
+	}
+}
+
+// TestTraceReanchorFallsBackToStartingHead is the other half: the enclosing
+// loop has two iterations, so the re-anchored recording leaves it instead of
+// closing. The path did pass the inner head again on the way, and the inner
+// head gets the trace that closing there would have given — what it had
+// before re-anchoring existed — at the moment the path leaves the enclosing
+// loop, not at the end of the function. The second call runs that trace.
+func TestTraceReanchorFallsBackToStartingHead(t *testing.T) {
+	code := assembleAt(t, 0x5000, loopNest(2))
+	ref, _ := callRepeatedly(t, code, modeInterp, 2)
+	before := emu.ReadTraceStats()
+	got, first := callRepeatedly(t, code, modeTraces, 2)
+	after := emu.ReadTraceStats()
+	diffStates(t, "fallback nest", ref, got, modeInterp, modeTraces)
+	if n := first.Compiled - before.Compiled; n != 1 {
+		t.Errorf("first call compiled %d traces, want the one at the inner head", n)
+	}
+	if n := after.Aborted - before.Aborted; n != 0 {
+		t.Errorf("%d aborts (by reason %v), want none", n, after.AbortedBy)
+	}
+	if after.Runs == first.Runs {
+		t.Error("second call ran no trace")
 	}
 }

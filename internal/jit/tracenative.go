@@ -23,8 +23,9 @@ import (
 // Execution model. The state buffer (one uint64 per slot, extended with a
 // few control words and a 4-word descriptor per memory site) is pinned in
 // R15; a tiny assembly trampoline (traceEnter) calls into the generated
-// code, which computes through RAX/RCX/RDX scratch on [R15+8*slot] and
-// returns via RET with an exit token stored in the buffer. Baseline
+// code, which computes through RAX/RCX/RDX scratch (X0/X1 for scalar double
+// arithmetic) on [R15+8*slot] and returns via RET with an exit token stored
+// in the buffer. Baseline
 // compiles (first heat) use this pure slot model — a fused single pass over
 // the bytecode, TPDE-style. O3 recompiles additionally pin the hottest
 // slots in callee-saved-by-the-trampoline registers (RBX, RBP, RSI, RDI,
@@ -88,19 +89,10 @@ type nativeProg struct {
 // interpreted reference semantics.
 func (p *nativeProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) {
 	slots := p.scratch
-	copy(slots, p.template)
-	copy(slots[:16], m.GPR[:])
-	f := &m.Flags
-	slots[lift.TraceParamFlags+0] = b2u(f.CF)
-	slots[lift.TraceParamFlags+1] = b2u(f.PF)
-	slots[lift.TraceParamFlags+2] = b2u(f.AF)
-	slots[lift.TraceParamFlags+3] = b2u(f.ZF)
-	slots[lift.TraceParamFlags+4] = b2u(f.SF)
-	slots[lift.TraceParamFlags+5] = b2u(f.OF)
 	if iterCap > p.chunk {
 		iterCap = p.chunk
 	}
-	slots[lift.TraceParamCap] = iterCap
+	p.vm.enter(slots, p.template, m, iterCap)
 	slots[p.startGenOff] = p.vm.mem.CodeGen()
 
 	entry := p.entry
@@ -255,7 +247,8 @@ func (nb *natBuilder) slotUses() map[int32]int {
 	for i := range nb.vm.code {
 		op := &nb.vm.code[i]
 		switch op.code {
-		case vAdd, vSub, vMul, vAnd, vOr, vXor, vShl, vLShr, vAShr, vICmp, vBrICmp:
+		case vAdd, vSub, vMul, vAnd, vOr, vXor, vShl, vLShr, vAShr, vICmp, vBrICmp,
+			vFAdd, vFSub, vFMul, vFDiv:
 			add(op.dst)
 			add(op.a)
 			add(op.b)
@@ -328,6 +321,7 @@ func (nb *natBuilder) findConsts() {
 		op := &nb.vm.code[i]
 		switch op.code {
 		case vAdd, vSub, vMul, vAnd, vOr, vXor, vShl, vLShr, vAShr,
+			vFAdd, vFSub, vFMul, vFDiv,
 			vICmp, vBrICmp, vSelect, vCtpop, vCopy, vTrunc, vSExt, vLoad:
 			written[op.dst] = true
 		}
@@ -342,7 +336,7 @@ func (nb *natBuilder) findConsts() {
 		}
 	}
 	nb.constVal = map[int32]uint64{}
-	for s := int32(lift.TraceNumParams); s < int32(len(nb.vm.template)); s++ {
+	for s := int32(lift.TraceParamXMM + 2*len(nb.vm.xmmIn)); s < int32(len(nb.vm.template)); s++ {
 		if !written[s] {
 			nb.constVal[s] = nb.vm.template[s]
 		}
@@ -417,6 +411,18 @@ var natALU = map[vmCode]x86.Op{
 }
 
 var natShift = map[vmCode]x86.Op{vShl: x86.SHL, vLShr: x86.SHR, vAShr: x86.SAR}
+
+var natFP = map[vmCode]x86.Op{vFAdd: x86.ADDSD, vFSub: x86.SUBSD, vFMul: x86.MULSD, vFDiv: x86.DIVSD}
+
+// loadX brings the bit pattern of slot s into XMM scratch register x: from
+// its buffer word, or from its pinned GPR.
+func (nb *natBuilder) loadX(x x86.Reg, s int32) {
+	if pr, ok := nb.pin[s]; ok {
+		nb.b.I(x86.MOVQGP, x86.X(x), x86.R64(pr))
+		return
+	}
+	nb.b.I(x86.MOVSD_X, x86.X(x), nb.slotMem(s))
+}
 
 // emit lowers the whole bytecode program plus its stubs.
 func (nb *natBuilder) emit() error {
@@ -541,6 +547,22 @@ func (nb *natBuilder) emitOp(pc int32) error {
 	case vCtpop:
 		b.I(x86.POPCNT, x86.R64(x86.RAX), nb.srcOp(op.a))
 		nb.store(op.dst, x86.RAX)
+
+	case vFAdd, vFSub, vFMul, vFDiv:
+		// The destination operand is a, as in the guest instruction and in
+		// the VM's a OP b: x86 picks the NaN payload by operand position.
+		nb.loadX(x86.XMM0, op.a)
+		if _, pinned := nb.pin[op.b]; pinned {
+			nb.loadX(x86.XMM1, op.b)
+			b.I(natFP[op.code], x86.X(x86.XMM0), x86.X(x86.XMM1))
+		} else {
+			b.I(natFP[op.code], x86.X(x86.XMM0), nb.slotMem(op.b))
+		}
+		if pr, ok := nb.pin[op.dst]; ok {
+			b.I(x86.MOVQGP, x86.R64(pr), x86.X(x86.XMM0))
+		} else {
+			b.I(x86.MOVSD_X, nb.slotMem(op.dst), x86.X(x86.XMM0))
+		}
 
 	case vCopy:
 		nb.load(x86.RAX, op.a)

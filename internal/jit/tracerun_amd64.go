@@ -11,8 +11,8 @@ const nativeTraceOK = true
 
 // traceEnter calls generated trace code with R15 = state. Implemented in
 // tracerun_amd64.s; the generated code clobbers every GP register (the
-// trampoline saves the callee-saved set), uses no stack beyond the return
-// address, and returns via RET after storing an exit token into the state
+// trampoline saves the callee-saved set) and X0/X1, uses no stack beyond the
+// return address, and returns via RET after storing an exit token into the state
 // buffer.
 //
 //go:noescape

@@ -5,9 +5,10 @@
 // func traceEnter(code uintptr, state *uint64)
 //
 // Bridges Go into generated trace code. The generated code's ABI: R15 holds
-// the state-buffer base for its whole run, RAX/RCX/RDX are scratch, O3
-// compiles additionally use RBX/RBP/RSI/RDI/R8-R14 for pinned slots, and it
-// returns with RET after storing an exit token into the buffer. Everything
+// the state-buffer base for its whole run, RAX/RCX/RDX and X0/X1 are scratch
+// (the XMM registers are all caller-saved under ABI0), O3 compiles
+// additionally use RBX/RBP/RSI/RDI/R8-R14 for pinned slots, and it returns
+// with RET after storing an exit token into the buffer. Everything
 // the Go ABI requires preserved is saved here; the generated code itself
 // touches no stack beyond the CALL's return address, so NOSPLIT headroom is
 // ample.

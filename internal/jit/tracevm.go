@@ -3,6 +3,7 @@ package jit
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/emu"
@@ -17,7 +18,8 @@ import (
 // whose per-op cost is one switch dispatch over a flat array — an order of
 // magnitude cheaper than the block engine's per-instruction closure calls
 // with eager flag computation, which is where the trace tier's speedup
-// comes from. Every SSA value owns a slot (uint64, i1 held as 0/1);
+// comes from. Every SSA value owns a slot (uint64; i1 held as 0/1, double
+// as its bit pattern, so a bitcast is the slot of its operand);
 // constants are pre-staged in a template image and phis become buffered
 // parallel moves on the incoming edges.
 
@@ -36,6 +38,10 @@ const (
 	vICmp   // aux = pred
 	vSelect // t0 = cond slot
 	vCtpop
+	vFAdd // scalar double on slot bit patterns, through emu.AddF64 and its siblings
+	vFSub
+	vFMul
+	vFDiv
 	vCopy
 	vTrunc // aux = dest bits
 	vSExt  // aux = source bits
@@ -69,6 +75,7 @@ type vmMoves struct {
 type vmExit struct {
 	st        *lift.TraceExit
 	regSlots  []int32
+	xmmSlots  []int32 // lo, hi per vmProg.xmmIdx register
 	flagSlots []int32
 	ctrSlot   int32
 }
@@ -85,6 +92,8 @@ type vmProg struct {
 	exits    []vmExit
 	sites    []*emu.Region
 	regIdx   []int
+	xmmIdx   []int // XMM registers written back at every exit
+	xmmIn    []int // XMM registers whose lanes are loaded on entry
 	mem      *emu.Memory
 	cost     *emu.CostModel
 	// lineMask enables the inlined penalty test (cache line size - 1) for
@@ -136,16 +145,7 @@ func vsext(v uint64, size uint8) int64 {
 // an iteration has completed and the loop-carried phis hold real values.
 func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) {
 	slots := p.scratch
-	copy(slots, p.template)
-	copy(slots[:16], m.GPR[:])
-	f := &m.Flags
-	slots[lift.TraceParamFlags+0] = b2u(f.CF)
-	slots[lift.TraceParamFlags+1] = b2u(f.PF)
-	slots[lift.TraceParamFlags+2] = b2u(f.AF)
-	slots[lift.TraceParamFlags+3] = b2u(f.ZF)
-	slots[lift.TraceParamFlags+4] = b2u(f.SF)
-	slots[lift.TraceParamFlags+5] = b2u(f.OF)
-	slots[lift.TraceParamCap] = iterCap
+	p.enter(slots, p.template, m, iterCap)
 	startGen := p.mem.CodeGen()
 
 	code := p.code
@@ -181,6 +181,14 @@ func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) 
 			}
 		case vCtpop:
 			slots[op.dst] = uint64(bits.OnesCount64(slots[op.a]))
+		case vFAdd:
+			slots[op.dst] = math.Float64bits(emu.AddF64(math.Float64frombits(slots[op.a]), math.Float64frombits(slots[op.b])))
+		case vFSub:
+			slots[op.dst] = math.Float64bits(emu.SubF64(math.Float64frombits(slots[op.a]), math.Float64frombits(slots[op.b])))
+		case vFMul:
+			slots[op.dst] = math.Float64bits(emu.MulF64(math.Float64frombits(slots[op.a]), math.Float64frombits(slots[op.b])))
+		case vFDiv:
+			slots[op.dst] = math.Float64bits(emu.DivF64(math.Float64frombits(slots[op.a]), math.Float64frombits(slots[op.b])))
 		case vCopy:
 			slots[op.dst] = slots[op.a]
 		case vTrunc:
@@ -272,6 +280,26 @@ func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) 
 	}
 }
 
+// enter stages the trace parameters: template image, then the machine's
+// GPRs, flags, the lanes of the XMM registers the trace touches, and the
+// iteration cap.
+func (p *vmProg) enter(slots, template []uint64, m *emu.Machine, iterCap uint64) {
+	copy(slots, template)
+	copy(slots[:16], m.GPR[:])
+	f := &m.Flags
+	slots[lift.TraceParamFlags+0] = b2u(f.CF)
+	slots[lift.TraceParamFlags+1] = b2u(f.PF)
+	slots[lift.TraceParamFlags+2] = b2u(f.AF)
+	slots[lift.TraceParamFlags+3] = b2u(f.ZF)
+	slots[lift.TraceParamFlags+4] = b2u(f.SF)
+	slots[lift.TraceParamFlags+5] = b2u(f.OF)
+	slots[lift.TraceParamCap] = iterCap
+	for i, r := range p.xmmIn {
+		slots[lift.TraceParamXMM+2*i] = m.XMM[r].Lo
+		slots[lift.TraceParamXMM+2*i+1] = m.XMM[r].Hi
+	}
+}
+
 func vcmp(pred ir.Pred, a, b uint64) bool {
 	switch pred {
 	case ir.PredEQ:
@@ -315,12 +343,16 @@ func (p *vmProg) applyMoves(idx int32, slots []uint64) {
 }
 
 // takeExit materializes the architectural state of exit idx onto the
-// machine: written-back registers, the six flags recomputed from the exit's
-// symbolic recipe, and the (iters, steps, rip) triple for the dispatcher.
+// machine: written-back registers (both lanes of an XMM register), the six
+// flags recomputed from the exit's symbolic recipe, and the (iters, steps,
+// rip) triple for the dispatcher.
 func (p *vmProg) takeExit(m *emu.Machine, idx int32, slots []uint64) (uint64, uint64, uint64) {
 	e := &p.exits[idx]
 	for i, ri := range p.regIdx {
 		m.GPR[ri] = slots[e.regSlots[i]]
+	}
+	for i, ri := range p.xmmIdx {
+		m.XMM[ri] = emu.XMMReg{Lo: slots[e.xmmSlots[2*i]], Hi: slots[e.xmmSlots[2*i+1]]}
 	}
 	fs := e.flagSlots
 	st := e.st
@@ -396,7 +428,7 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 	if cost == nil {
 		cost = emu.HaswellModel()
 	}
-	pv := &vmProg{mem: mem, cost: cost, regIdx: prog.RegIdx}
+	pv := &vmProg{mem: mem, cost: cost, regIdx: prog.RegIdx, xmmIdx: prog.XMMIdx, xmmIn: prog.XMMIn}
 	switch l := cost.LineSize; {
 	case l != 0 && l&(l-1) == 0:
 		if cost.SplitPenalty != 0 {
@@ -415,10 +447,10 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 	}
 	f := prog.F
 	// Parameters own the first slots, at their parameter index.
-	b.p.template = make([]uint64, lift.TraceNumParams)
+	b.p.template = make([]uint64, len(f.Params))
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Insts {
-			if in.Ty != nil && in.Ty != ir.Void {
+			if in.Ty != nil && in.Ty != ir.Void && in.Op != ir.OpBitcast {
 				b.slot[in] = int32(len(b.p.template))
 				b.p.template = append(b.p.template, 0)
 			}
@@ -448,6 +480,11 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 func (b *vmBuilder) slotOf(v ir.Value) (int32, error) {
 	switch t := v.(type) {
 	case *ir.Inst:
+		if t.Op == ir.OpBitcast {
+			// Slots hold bit patterns, so an i64 <-> double bitcast is its
+			// operand's slot and costs nothing at run time.
+			return b.slotOf(t.Args[0])
+		}
 		s, ok := b.slot[t]
 		if !ok {
 			return 0, fmt.Errorf("jit: trace VM: use of unslotted %s", t.Nam)
@@ -456,23 +493,26 @@ func (b *vmBuilder) slotOf(v ir.Value) (int32, error) {
 	case *ir.Param:
 		return int32(t.Idx), nil
 	case *ir.ConstInt:
-		if s, ok := b.cslot[v]; ok {
-			return s, nil
+		return b.constSlot(v, t.V), nil
+	case *ir.ConstFloat:
+		if t.Ty.Equal(ir.Double) {
+			return b.constSlot(v, t.Bits()), nil
 		}
-		s := int32(len(b.p.template))
-		b.p.template = append(b.p.template, t.V)
-		b.cslot[v] = s
-		return s, nil
-	case *ir.Undef:
-		if s, ok := b.cslot[v]; ok {
-			return s, nil
-		}
-		s := int32(len(b.p.template))
-		b.p.template = append(b.p.template, 0)
-		b.cslot[v] = s
-		return s, nil
+	case *ir.Undef, *ir.Zero:
+		return b.constSlot(v, 0), nil
 	}
 	return 0, fmt.Errorf("jit: trace VM: unsupported value %s", v.Ident())
+}
+
+// constSlot interns a constant (by pointer) in the template image.
+func (b *vmBuilder) constSlot(v ir.Value, bits uint64) int32 {
+	if s, ok := b.cslot[v]; ok {
+		return s
+	}
+	s := int32(len(b.p.template))
+	b.p.template = append(b.p.template, bits)
+	b.cslot[v] = s
+	return s
 }
 
 func (b *vmBuilder) emit(op vmOp) int32 {
@@ -576,9 +616,9 @@ func (b *vmBuilder) exitFor(call *ir.Inst) (int32, error) {
 	if st == nil {
 		return 0, fmt.Errorf("jit: trace VM: call %s is not a registered exit", call.Callee.Nam)
 	}
-	nreg := len(b.prog.RegIdx)
-	if len(call.Args) != nreg+st.NArgs+1 {
-		return 0, fmt.Errorf("jit: trace VM: exit %s has %d args, want %d", call.Callee.Nam, len(call.Args), nreg+st.NArgs+1)
+	nreg, nxmm := len(b.prog.RegIdx), 2*len(b.prog.XMMIdx)
+	if want := nreg + nxmm + st.NArgs + 1; len(call.Args) != want {
+		return 0, fmt.Errorf("jit: trace VM: exit %s has %d args, want %d", call.Callee.Nam, len(call.Args), want)
 	}
 	e := vmExit{st: st}
 	for i, a := range call.Args {
@@ -589,7 +629,9 @@ func (b *vmBuilder) exitFor(call *ir.Inst) (int32, error) {
 		switch {
 		case i < nreg:
 			e.regSlots = append(e.regSlots, s)
-		case i < nreg+st.NArgs:
+		case i < nreg+nxmm:
+			e.xmmSlots = append(e.xmmSlots, s)
+		case i < nreg+nxmm+st.NArgs:
 			e.flagSlots = append(e.flagSlots, s)
 		default:
 			e.ctrSlot = s
@@ -611,7 +653,11 @@ func (b *vmBuilder) emitBlock(blk *ir.Block) error {
 			continue // realized by edge moves
 
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
-			ir.OpShl, ir.OpLShr, ir.OpAShr:
+			ir.OpShl, ir.OpLShr, ir.OpAShr,
+			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
+			if in.Ty.IsFP() && !in.Ty.Equal(ir.Double) {
+				return fmt.Errorf("jit: trace VM: %s on %s", in.Op, in.Ty)
+			}
 			a, err := b.slotOf(in.Args[0])
 			if err != nil {
 				return err
@@ -640,8 +686,23 @@ func (b *vmBuilder) emitBlock(blk *ir.Block) error {
 				code = vLShr
 			case ir.OpAShr:
 				code = vAShr
+			case ir.OpFAdd:
+				code = vFAdd
+			case ir.OpFSub:
+				code = vFSub
+			case ir.OpFMul:
+				code = vFMul
+			case ir.OpFDiv:
+				code = vFDiv
 			}
 			b.emit(vmOp{code: code, dst: b.slot[in], a: a, b: c})
+
+		case ir.OpBitcast:
+			// No code: slotOf resolves the value to its operand's slot.
+			from, to := in.Args[0].Type(), in.Ty
+			if !(from.Equal(ir.I64) && to.Equal(ir.Double)) && !(from.Equal(ir.Double) && to.Equal(ir.I64)) {
+				return fmt.Errorf("jit: trace VM: bitcast %s to %s", from, to)
+			}
 
 		case ir.OpICmp:
 			a, err := b.slotOf(in.Args[0])

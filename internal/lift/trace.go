@@ -38,6 +38,19 @@ import (
 // exit or in-body condition consumes pre-first-flag-write state, which is
 // the common case.
 //
+// XMM registers are modelled as a pair of i64 lanes (lo, hi) beside the 16
+// GPRs: live-in parameters, header phis and exit arguments per written
+// register, exactly like a GPR. The supported SSE2 subset is scalar double —
+// MOVSD, ADDSD/SUBSD/MULSD/DIVSD with a register or 8-byte memory source —
+// plus the register forms of PXOR/XORPD/XORPS, MOVAPD/MOVAPS/MOVDQA and
+// MOVQ (xmm-xmm, and xmm-r64 either way: how the JIT materializes a double
+// constant), which only shuffle or xor lanes. Arithmetic is fadd/fsub/fmul/fdiv
+// on the bitcast low lane with no fast-math flag, so the optimizer may fold
+// nothing the hardware would not compute. None of them touches the flags.
+// 16-byte memory operands stay out because their unaligned-vector penalty
+// would deoptimize every iteration, and the flag-writing compares because
+// they need a flag recipe of their own.
+//
 // Memory accesses become intrinsic calls ("trace.loadN"/"trace.storeN").
 // Any abnormal access — unmapped address, nonzero modelled penalty, or a
 // store into a watched (code-bearing) region — deoptimizes BEFORE the
@@ -72,8 +85,9 @@ const (
 )
 
 // TraceExit is the static side of one exit call. Argument layout of the
-// call: current values of Prog.RegIdx registers in order, then NArgs flag
-// recipe args, then the iteration counter.
+// call: current values of Prog.RegIdx registers in order, then the (lo, hi)
+// lanes of Prog.XMMIdx registers in order, then NArgs flag recipe args, then
+// the iteration counter.
 type TraceExit struct {
 	// Steps is the number of instructions of the current iteration retired
 	// before the exit (0 for loop-header exits; k for a deopt before
@@ -104,6 +118,12 @@ type TraceProgram struct {
 	// RegIdx lists the GPR indices the trace writes, in exit-argument and
 	// write-back order.
 	RegIdx []int
+	// XMMIdx lists the XMM indices the trace writes, in exit-argument and
+	// write-back order (two lanes each); XMMIn lists the ones it reads or
+	// writes at all. Only those have parameters — the i-th's low lane is
+	// parameter TraceParamXMM+2i, its high lane the next — which the
+	// executor must load on entry; an integer trace carries none.
+	XMMIdx, XMMIn []int
 	// Exits maps each exit call to its static descriptor.
 	Exits map[*ir.Inst]*TraceExit
 	// Mems maps each memory intrinsic call to its descriptor.
@@ -124,8 +144,10 @@ const (
 	TraceParamFlags = 16
 	// TraceParamCap is the index of the iteration-cap parameter.
 	TraceParamCap = 22
-	// TraceNumParams is the total parameter count.
-	TraceNumParams = 23
+	// TraceParamXMM is the index of the first XMM lane parameter: two i64
+	// per TraceProgram.XMMIn register, so the total parameter count is
+	// TraceParamXMM + 2*len(XMMIn).
+	TraceParamXMM = 23
 )
 
 type flagState struct {
@@ -145,6 +167,11 @@ type traceLifter struct {
 	cur     [16]ir.Value
 	written [16]bool
 	regPhis [16]*ir.Inst
+
+	curX     [16][2]ir.Value // XMM lanes (lo, hi), i64 each; nil if untouched
+	inX      [16][2]ir.Value // live-in lane parameters of XMMIn registers
+	writtenX [16]bool
+	xmmPhis  [16][2]*ir.Inst
 
 	flags      flagState
 	flagPhis   [6]*ir.Inst
@@ -178,7 +205,7 @@ func sizeMask(size uint8) uint64 {
 // Trace lifts a recorded superblock into a TraceProgram, or reports that
 // the recording contains an instruction the trace tier does not support.
 func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
-	shape, written, err := scanTrace(req)
+	shape, written, writtenX, usedX, err := scanTrace(req)
 	if err != nil {
 		return nil, err
 	}
@@ -191,6 +218,7 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 			NumSteps: len(req.Steps),
 		},
 		written:   written,
+		writtenX:  writtenX,
 		stepExits: make(map[int]*ir.Inst),
 		loadFns:   make(map[int]*ir.Func),
 		storeFns:  make(map[int]*ir.Func),
@@ -199,9 +227,15 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 		if written[r] {
 			l.p.RegIdx = append(l.p.RegIdx, r)
 		}
+		if writtenX[r] {
+			l.p.XMMIdx = append(l.p.XMMIdx, r)
+		}
+		if usedX[r] {
+			l.p.XMMIn = append(l.p.XMMIn, r)
+		}
 	}
 
-	ptypes := make([]*ir.Type, TraceNumParams)
+	ptypes := make([]*ir.Type, TraceParamXMM+2*len(l.p.XMMIn))
 	for i := 0; i < 16; i++ {
 		ptypes[i] = ir.I64
 	}
@@ -209,6 +243,9 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 		ptypes[TraceParamFlags+i] = ir.I1
 	}
 	ptypes[TraceParamCap] = ir.I64
+	for i := TraceParamXMM; i < len(ptypes); i++ {
+		ptypes[i] = ir.I64
+	}
 	l.f = ir.NewFunc(fmt.Sprintf("trace_%x", req.Head), ir.Void, ptypes...)
 	l.f.Addr = req.Head
 	l.p.F = l.f
@@ -217,12 +254,16 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	l.header = l.f.NewBlock("header")
 	l.b.Br(l.header)
 
-	// Header: phis for the counter, every written register, the six
-	// explicit flags, and the final recipe's dynamic inputs.
+	// Header: phis for the counter, every written register (both lanes of
+	// an XMM register), the six explicit flags, and the final recipe's
+	// dynamic inputs.
 	l.b.SetBlock(l.header)
 	l.ctrPhi = l.b.Phi(ir.I64)
 	for _, r := range l.p.RegIdx {
 		l.regPhis[r] = l.b.Phi(ir.I64)
+	}
+	for _, r := range l.p.XMMIdx {
+		l.xmmPhis[r] = [2]*ir.Inst{l.b.Phi(ir.I64), l.b.Phi(ir.I64)}
 	}
 	for i := 0; i < 6; i++ {
 		l.flagPhis[i] = l.b.Phi(ir.I1)
@@ -245,6 +286,16 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 			l.cur[r] = l.f.Params[r]
 		}
 	}
+	for i, r := range l.p.XMMIn {
+		for lane := 0; lane < 2; lane++ {
+			l.inX[r][lane] = l.f.Params[TraceParamXMM+2*i+lane]
+			if l.writtenX[r] {
+				l.curX[r][lane] = l.xmmPhis[r][lane]
+			} else {
+				l.curX[r][lane] = l.inX[r][lane]
+			}
+		}
+	}
 	l.flags = flagState{kind: TFExplicit, args: []ir.Value{
 		l.flagPhis[0], l.flagPhis[1], l.flagPhis[2], l.flagPhis[3], l.flagPhis[4], l.flagPhis[5],
 	}}
@@ -259,7 +310,7 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 		headState.args[i] = ph
 	}
 	capCond := l.b.ICmp(ir.PredUGE, l.ctrPhi, l.f.Params[TraceParamCap])
-	capExit := l.newExit(0, req.Head, l.ctrPhi, headState, l.cur)
+	capExit := l.newExit(0, req.Head, l.ctrPhi, headState)
 	body := l.f.NewBlock("")
 	l.b.CondBr(capCond, capExit.Parent, body)
 	l.b.SetBlock(body)
@@ -277,7 +328,7 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	l.p.Backedge = backedge
 	l.ctrNext = l.b.Add(l.ctrPhi, ir.Int(ir.I64, 1))
 	finalState := l.flags
-	l.p.GenExit = l.newExit(0, req.Head, l.ctrNext, finalState, l.cur)
+	l.p.GenExit = l.newExit(0, req.Head, l.ctrNext, finalState)
 
 	// Materialize the six flags of the final state for the explicit phis;
 	// dead unless some exit or condition consumed pre-flag-write state.
@@ -293,6 +344,12 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	for _, r := range l.p.RegIdx {
 		ir.AddIncoming(l.regPhis[r], l.f.Params[r], entry)
 		ir.AddIncoming(l.regPhis[r], l.cur[r], backedge)
+	}
+	for _, r := range l.p.XMMIdx {
+		for lane, ph := range l.xmmPhis[r] {
+			ir.AddIncoming(ph, l.inX[r][lane], entry)
+			ir.AddIncoming(ph, l.curX[r][lane], backedge)
+		}
 	}
 	for i := 0; i < 6; i++ {
 		ir.AddIncoming(l.flagPhis[i], l.f.Params[TraceParamFlags+i], entry)
@@ -333,15 +390,33 @@ func recipeArgTypes(s flagState) []*ir.Type {
 }
 
 // scanTrace rejects unsupported instructions and pre-computes the register
-// write set and the loop-carried flag recipe shape (which pass 2 must end
-// on — the simulation below mirrors liftStep's flag updates exactly).
-func scanTrace(req *emu.TraceRequest) (flagState, [16]bool, error) {
-	var written [16]bool
-	shape := flagState{kind: TFExplicit}
+// write sets (GPR and XMM), the XMM registers referenced at all, and the
+// loop-carried flag recipe shape (which pass 2 must end on — the simulation
+// below mirrors liftStep's flag updates exactly).
+func scanTrace(req *emu.TraceRequest) (shape flagState, written, writtenX, usedX [16]bool, err error) {
+	shape = flagState{kind: TFExplicit}
 	for i := range req.Steps {
 		in := req.Steps[i].In
-		if err := checkOperands(in); err != nil {
-			return shape, written, err
+		if isTraceSSE(in.Op) {
+			if err = checkSSEOperands(in); err != nil {
+				return
+			}
+			for _, o := range []x86.Operand{in.Dst, in.Src} {
+				if o.Kind == x86.KReg && o.Reg.IsXMM() {
+					usedX[o.Reg-x86.XMM0] = true
+				}
+			}
+			switch d := in.Dst; {
+			case d.Kind != x86.KReg:
+			case d.Reg.IsXMM():
+				writtenX[d.Reg-x86.XMM0] = true
+			default:
+				written[d.Reg] = true
+			}
+			continue
+		}
+		if err = checkOperands(in); err != nil {
+			return
 		}
 		switch in.Op {
 		case x86.NOP, x86.ENDBR64, x86.JMP, x86.JCC:
@@ -361,19 +436,27 @@ func scanTrace(req *emu.TraceRequest) (flagState, [16]bool, error) {
 			shape = flagState{kind: TFMul, w: in.Dst.Size}
 		case x86.SHL, x86.SHR, x86.SAR:
 			if in.Src.Kind != x86.KImm {
-				return shape, written, fmt.Errorf("lift: trace: dynamic shift count at %#x", in.Addr)
+				err = unsupported("dynamic shift count at %#x", in.Addr)
+				return
 			}
 			if cnt := shiftCount(in); cnt != 0 {
 				shape = flagState{kind: TFShift, w: in.Dst.Size, op: in.Op, cnt: cnt}
 			}
 		default:
-			return shape, written, fmt.Errorf("lift: trace: unsupported %v at %#x", in.Op, in.Addr)
+			err = unsupported("%v at %#x", in.Op, in.Addr)
+			return
 		}
 		if writesReg(in) {
 			written[in.Dst.Reg] = true
 		}
 	}
-	return shape, written, nil
+	return
+}
+
+// unsupported builds the error for a recording the trace tier refuses; the
+// emulator counts it as an unsupported-op abort, not a compiler failure.
+func unsupported(format string, args ...any) error {
+	return fmt.Errorf("lift: trace: %s: %w", fmt.Sprintf(format, args...), emu.ErrTraceUnsupported)
 }
 
 func shiftCount(in *x86.Inst) uint8 {
@@ -404,23 +487,72 @@ func checkOperands(in *x86.Inst) error {
 		switch o.Kind {
 		case x86.KReg:
 			if o.Reg.IsHighByte() {
-				return fmt.Errorf("lift: trace: high-byte register at %#x", in.Addr)
+				return unsupported("high-byte register at %#x", in.Addr)
 			}
 			if !o.Reg.IsGP() {
-				return fmt.Errorf("lift: trace: non-GP register %v at %#x", o.Reg, in.Addr)
+				return unsupported("non-GP register %v at %#x", o.Reg, in.Addr)
 			}
 		case x86.KMem:
-			if o.Mem.Seg != x86.SegNone {
-				return fmt.Errorf("lift: trace: segment override at %#x", in.Addr)
+			if err := checkMem(in, o); err != nil {
+				return err
 			}
-			if !o.Mem.RIPRel {
-				if o.Mem.Base != x86.NoReg && !o.Mem.Base.IsGP() {
-					return fmt.Errorf("lift: trace: base register %v at %#x", o.Mem.Base, in.Addr)
-				}
-				if o.Mem.Index != x86.NoReg && !o.Mem.Index.IsGP() {
-					return fmt.Errorf("lift: trace: index register %v at %#x", o.Mem.Index, in.Addr)
-				}
-			}
+		}
+	}
+	return nil
+}
+
+func checkMem(in *x86.Inst, o x86.Operand) error {
+	if o.Mem.Seg != x86.SegNone {
+		return unsupported("segment override at %#x", in.Addr)
+	}
+	if !o.Mem.RIPRel {
+		if o.Mem.Base != x86.NoReg && !o.Mem.Base.IsGP() {
+			return unsupported("base register %v at %#x", o.Mem.Base, in.Addr)
+		}
+		if o.Mem.Index != x86.NoReg && !o.Mem.Index.IsGP() {
+			return unsupported("index register %v at %#x", o.Mem.Index, in.Addr)
+		}
+	}
+	return nil
+}
+
+// isTraceSSE reports whether op belongs to the traced SSE2 subset; which
+// operand shapes of it are accepted is checkSSEOperands' business.
+func isTraceSSE(op x86.Op) bool {
+	switch op {
+	case x86.MOVSD_X, x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD,
+		x86.PXOR, x86.XORPD, x86.XORPS,
+		x86.MOVAPD, x86.MOVAPS, x86.MOVDQA, x86.MOVQ, x86.MOVQGP:
+		return true
+	}
+	return false
+}
+
+// checkSSEOperands accepts xmm,xmm for every traced SSE op but MOVQGP
+// (xmm,r64 and r64,xmm), xmm,m64 for the scalar moves and arithmetic, and
+// m64,xmm for MOVSD. Everything else — the 16-byte memory forms above all —
+// is refused.
+func checkSSEOperands(in *x86.Inst) error {
+	isX := func(o x86.Operand) bool { return o.Kind == x86.KReg && o.Reg.IsXMM() }
+	isR64 := func(o x86.Operand) bool { return o.Kind == x86.KReg && o.Reg.IsGP() && o.Size == 8 }
+	isM64 := func(o x86.Operand) bool { return o.Kind == x86.KMem && o.Size == 8 }
+	var ok bool
+	switch in.Op {
+	case x86.MOVQGP:
+		ok = isX(in.Dst) && isR64(in.Src) || isR64(in.Dst) && isX(in.Src)
+	case x86.MOVSD_X:
+		ok = isX(in.Dst) && (isX(in.Src) || isM64(in.Src)) || isM64(in.Dst) && isX(in.Src)
+	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
+		ok = isX(in.Dst) && (isX(in.Src) || isM64(in.Src))
+	default:
+		ok = isX(in.Dst) && isX(in.Src)
+	}
+	if !ok {
+		return unsupported("operand form of %v at %#x", in, in.Addr)
+	}
+	for _, o := range []x86.Operand{in.Dst, in.Src} {
+		if o.Kind == x86.KMem {
+			return checkMem(in, o)
 		}
 	}
 	return nil
@@ -568,22 +700,27 @@ func (l *traceLifter) deoptExit(k int, in *x86.Inst) *ir.Inst {
 	if e := l.stepExits[k]; e != nil {
 		return e
 	}
-	e := l.newExit(k, in.Addr, l.ctrPhi, l.flags, l.cur)
+	e := l.newExit(k, in.Addr, l.ctrPhi, l.flags)
 	l.stepExits[k] = e
 	return e
 }
 
 // newExit creates an exit block holding one call that materializes the
-// given state, and records its descriptor. Returns the call.
-func (l *traceLifter) newExit(steps int, rip uint64, ctr ir.Value, st flagState, regs [16]ir.Value) *ir.Inst {
+// current register state (GPR and XMM) with the given flag state and
+// counter, and records its descriptor. Returns the call.
+func (l *traceLifter) newExit(steps int, rip uint64, ctr ir.Value, st flagState) *ir.Inst {
 	cur := l.b.Cur
 	eb := l.f.NewBlock(fmt.Sprintf("exit%d", l.nextExit))
 	l.b.SetBlock(eb)
 	var args []ir.Value
 	var ptypes []*ir.Type
 	for _, r := range l.p.RegIdx {
-		args = append(args, regs[r])
+		args = append(args, l.cur[r])
 		ptypes = append(ptypes, ir.I64)
+	}
+	for _, r := range l.p.XMMIdx {
+		args = append(args, l.curX[r][0], l.curX[r][1])
+		ptypes = append(ptypes, ir.I64, ir.I64)
 	}
 	for _, a := range st.args {
 		args = append(args, a)
@@ -798,6 +935,10 @@ func (l *traceLifter) cond(c x86.Cond) ir.Value {
 
 func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 	in := st.In
+	if isTraceSSE(in.Op) {
+		l.liftSSE(k, in)
+		return nil
+	}
 	switch in.Op {
 	case x86.NOP, x86.ENDBR64, x86.JMP:
 		// JMP's target is the recorded path; nothing to emit.
@@ -942,9 +1083,9 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 		target := uint64(in.Dst.Imm)
 		var exit *ir.Inst
 		if st.Taken {
-			exit = l.newExit(k+1, fallthrough_, l.ctrPhi, l.flags, l.cur)
+			exit = l.newExit(k+1, fallthrough_, l.ctrPhi, l.flags)
 		} else {
-			exit = l.newExit(k+1, target, l.ctrPhi, l.flags, l.cur)
+			exit = l.newExit(k+1, target, l.ctrPhi, l.flags)
 		}
 		cont := l.f.NewBlock("")
 		if st.Taken {
@@ -955,7 +1096,65 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 		l.b.SetBlock(cont)
 
 	default:
-		return fmt.Errorf("lift: trace: unsupported %v at %#x", in.Op, in.Addr)
+		return unsupported("%v at %#x", in.Op, in.Addr)
 	}
 	return nil
+}
+
+// liftSSE lifts one instruction of the traced SSE2 subset (operand shapes
+// already vetted by checkSSEOperands) onto the lane pairs. Lane semantics
+// follow emu.execSSE: a scalar load zeroes the high lane, scalar register
+// moves and arithmetic preserve it, MOVQ zeroes it.
+func (l *traceLifter) liftSSE(k int, in *x86.Inst) {
+	zero := ir.Int(ir.I64, 0)
+	if in.Op == x86.MOVQGP {
+		if in.Dst.Reg.IsXMM() {
+			l.curX[in.Dst.Reg-x86.XMM0] = [2]ir.Value{l.cur[in.Src.Reg], zero}
+		} else {
+			l.cur[in.Dst.Reg] = l.curX[in.Src.Reg-x86.XMM0][0]
+		}
+		return
+	}
+	// srcLo reads the low 64 bits of the source: register lane or 8-byte
+	// load through the deoptimizing intrinsic.
+	srcLo := func() ir.Value {
+		if in.Src.Kind == x86.KMem {
+			return l.memLoad(k, in, in.Src, 8)
+		}
+		return l.curX[in.Src.Reg-x86.XMM0][0]
+	}
+	if in.Dst.Kind == x86.KMem { // movsd m64, xmm
+		l.memStore(k, in, in.Dst, l.curX[in.Src.Reg-x86.XMM0][0])
+		return
+	}
+	d := &l.curX[in.Dst.Reg-x86.XMM0]
+	switch in.Op {
+	case x86.MOVSD_X:
+		d[0] = srcLo()
+		if in.Src.Kind == x86.KMem {
+			d[1] = zero
+		}
+	case x86.MOVQ:
+		d[0], d[1] = srcLo(), zero
+	case x86.MOVAPD, x86.MOVAPS, x86.MOVDQA:
+		*d = l.curX[in.Src.Reg-x86.XMM0]
+	case x86.PXOR, x86.XORPD, x86.XORPS:
+		s := l.curX[in.Src.Reg-x86.XMM0]
+		d[0], d[1] = l.b.Xor(d[0], s[0]), l.b.Xor(d[1], s[1])
+	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
+		b := l.b.Bitcast(srcLo(), ir.Double)
+		a := l.b.Bitcast(d[0], ir.Double)
+		var r *ir.Inst
+		switch in.Op {
+		case x86.ADDSD:
+			r = l.b.FAdd(a, b)
+		case x86.SUBSD:
+			r = l.b.FSub(a, b)
+		case x86.MULSD:
+			r = l.b.FMul(a, b)
+		case x86.DIVSD:
+			r = l.b.FDiv(a, b)
+		}
+		d[0] = l.b.Bitcast(r, ir.I64)
+	}
 }

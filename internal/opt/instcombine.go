@@ -126,8 +126,16 @@ func combine(in *ir.Inst, fastMath bool) ir.Value {
 
 	// Canonicalize: constants move to the right of commutative operations
 	// (and icmp swaps its predicate), so later patterns match uniformly.
+	// fadd and fmul commute only under fast-math: with two NaN operands the
+	// hardware returns the first one's payload, so a strict pipeline must
+	// keep the operand order it was given.
 	switch in.Op {
-	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpFAdd, ir.OpFMul:
+	case ir.OpFAdd, ir.OpFMul:
+		if !fastMath && !in.FastMath {
+			break
+		}
+		fallthrough
+	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor:
 		if len(in.Args) == 2 {
 			if _, lc := asConstant(in.Args[0]); lc {
 				if _, rc := asConstant(in.Args[1]); !rc {

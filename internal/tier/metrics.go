@@ -2,7 +2,9 @@ package tier
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/emu"
 	"repro/internal/trace"
 )
 
@@ -106,8 +108,15 @@ func RegisterMetrics(reg *trace.Registry, prefix string, snapshot func() (Stats,
 			t := grab().Trace
 			return float64(t.Compiled + t.CompiledO3)
 		})
-	reg.Counter(prefix+"_traces_aborted_total", "Emulator trace recordings or compiles aborted.",
+	reg.Counter(prefix+"_traces_aborted_total", "Emulator trace heads blacklisted: recordings or compiles aborted, traces retired.",
 		func() float64 { return float64(grab().Trace.Aborted) })
+	// The same count by reason, one family each (the registry has no
+	// labels): which instruction mix the trace tier is turning away.
+	for r := emu.TraceAbortReason(0); r < emu.NumTraceAbortReasons; r++ {
+		name := strings.ReplaceAll(r.String(), "-", "_")
+		reg.Counter(prefix+"_traces_aborted_"+name+"_total", "Emulator trace heads blacklisted for reason "+r.String()+".",
+			func() float64 { return float64(grab().Trace.AbortedBy[r]) })
+	}
 	reg.Counter(prefix+"_trace_runs_total", "Emulator trace executions.",
 		func() float64 { return float64(grab().Trace.Runs) })
 	reg.Counter(prefix+"_trace_iterations_total", "Loop iterations completed inside compiled traces.",

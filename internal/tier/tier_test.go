@@ -2,12 +2,14 @@ package tier
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/emu"
+	"repro/internal/trace"
 	"repro/internal/x86"
 	"repro/internal/x86/asm"
 )
@@ -399,5 +401,32 @@ func TestFastpathDeoptDiscardsInFlightCompile(t *testing.T) {
 	mgr.Drain()
 	if got := f.Level(); got != Tier1 {
 		t.Fatalf("level after re-promotion = %v, want tier1", got)
+	}
+}
+
+// TestMetricsExportAbortReasons: the trace tier's abort count is exported in
+// total (as before) and once per typed reason, in lint-clean exposition text.
+func TestMetricsExportAbortReasons(t *testing.T) {
+	var st Stats
+	st.Trace.Aborted = 7
+	st.Trace.AbortedBy[emu.AbortCall] = 4
+	st.Trace.AbortedBy[emu.AbortUnsupportedOp] = 2
+	st.Trace.AbortedBy[emu.AbortNoProgress] = 1
+	reg := trace.NewRegistry()
+	RegisterMetrics(reg, "dbrew_tier", func() (Stats, bool) { return st, true })
+	out := reg.Text()
+	if err := trace.Lint([]byte(out)); err != nil {
+		t.Fatalf("registry output fails lint: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"dbrew_tier_traces_aborted_total 7",
+		"dbrew_tier_traces_aborted_call_total 4",
+		"dbrew_tier_traces_aborted_ret_total 0",
+		"dbrew_tier_traces_aborted_unsupported_op_total 2",
+		"dbrew_tier_traces_aborted_no_progress_total 1",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("registry output missing %q:\n%s", want, out)
+		}
 	}
 }
