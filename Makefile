@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-tiering race-service race-trace race-trace-native race-cluster race-fastpath bench bench-emu bench-emu-nogate bench-fastpath bench-fastpath-nogate bench-tiering bench-service bench-cache bench-futamura corpus fig10 throughput cachecheck serve smoke cover fuzz-smoke
+.PHONY: check fmt vet build test race race-tiering race-service race-trace race-trace-native race-cluster race-fastpath bench bench-futamura corpus serve smoke cover fuzz-smoke
 
-check: fmt vet build race-tiering race-service race-trace race-trace-native race-cluster race-fastpath race corpus cover fuzz-smoke bench-emu-nogate bench-fastpath-nogate
+check: fmt vet build race-tiering race-service race-trace race-trace-native race-cluster race-fastpath race corpus cover fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -38,7 +38,7 @@ race-service:
 # fresh under the race detector.
 race-fastpath:
 	$(GO) test -race -count=1 ./internal/fastpath/...
-	$(GO) test -race -count=1 -run 'Fastpath' ./internal/tier ./internal/service ./internal/crosstest ./internal/bench .
+	$(GO) test -race -count=1 -run 'Fastpath' ./internal/tier ./internal/service ./internal/crosstest .
 
 # Trace-tier suite (differential engines, deopt kernels, concurrent
 # invalidation against a running trace) fresh under the race detector.
@@ -70,52 +70,6 @@ race-cluster:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Emulator dispatch benchmark (interp vs translated blocks), 5 repetitions,
-# medians and speedups recorded machine-readably in BENCH_emu.json.
-bench-emu:
-	$(GO) run ./cmd/benchemu -count=5 -out=BENCH_emu.json
-
-# Non-gating wrapper for `make check`: the numbers are recorded and printed,
-# but a slow machine never fails the gate.
-bench-emu-nogate:
-	-@$(MAKE) --no-print-directory bench-emu
-
-# Tier-1 backend compile-latency benchmark (legacy lift+O1 vs the fastpath
-# single-pass baseline), 5 repetitions, medians, speedups, and the >=5x
-# copy-route target recorded machine-readably in BENCH_fastpath.json.
-bench-fastpath:
-	$(GO) run ./cmd/benchfastpath -count=5 -out=BENCH_fastpath.json
-
-# Non-gating wrapper for `make check`: the numbers are recorded and printed,
-# but a slow machine never fails the gate.
-bench-fastpath-nogate:
-	-@$(MAKE) --no-print-directory bench-fastpath
-
-# One-shot O3 vs tiered execution totals across call counts.
-bench-tiering:
-	$(GO) run ./cmd/stencilbench -fig tiering
-
-# Figure 10 with cold and cached-warm transformation times.
-fig10:
-	$(GO) run ./cmd/stencilbench -fig 10
-
-# Concurrent specialization throughput (goroutines × distinct keys).
-throughput:
-	$(GO) run ./cmd/stencilbench -fig throughput
-
-# Differential check: cached code bytes == freshly compiled code bytes.
-cachecheck:
-	$(GO) run ./cmd/difftest -cachecheck
-
-# In-process vs dbrewd round-trip specialization latency.
-bench-service:
-	$(GO) run ./cmd/stencilbench -fig service
-
-# Specialization latency by serving level: fresh compile vs memory hit vs
-# warm-restart disk hit vs fleet peer hit.
-bench-cache:
-	$(GO) run ./cmd/stencilbench -fig cache
 
 # Rewriter-evaluation corpus gate: every hard-idiom subject through every
 # execution path. Fails on any wrong-code verdict, on a pass -> fallback

@@ -8,7 +8,6 @@
 //
 //	difftest -start 1 -seeds 500        # seeds 1..500
 //	difftest -seeds 100 -v              # print each program description
-//	difftest -cachecheck                # cached vs fresh code bytes, all modes
 //
 // A non-zero exit status means at least one divergence was found; the
 // offending seed, path, and inputs are printed so the failure can be
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/crosstest"
 	"repro/internal/dbrew"
 	"repro/internal/emu"
@@ -45,17 +43,7 @@ func main() {
 	start := flag.Int64("start", 1, "first seed")
 	seeds := flag.Int64("seeds", 100, "number of seeds to run")
 	verbose := flag.Bool("v", false, "print each program description")
-	cachecheck := flag.Bool("cachecheck", false,
-		"compare specialization-cache hits against fresh compiles byte for byte")
 	flag.Parse()
-
-	if *cachecheck {
-		if err := runCacheCheck(); err != nil {
-			fmt.Fprintln(os.Stderr, "difftest:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	failures := 0
 	for seed := *start; seed < *start+*seeds; seed++ {
@@ -78,59 +66,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("all %d seeds agree across all five paths\n", *seeds)
-}
-
-// runCacheCheck validates the specialization cache differentially: for each
-// of the five Section VI modes over the three stencil structures, the code a
-// cache hit returns must be byte-identical to a freshly compiled variant of
-// the same request. Element kernels are leaf functions, so the generated
-// bytes are position-independent and comparable across placements.
-func runCacheCheck() error {
-	w, err := bench.NewWorkload(33)
-	if err != nil {
-		return err
-	}
-	w.EnableCache(256)
-	checked := 0
-	for _, mode := range bench.AllModes {
-		for _, s := range bench.AllStructures {
-			if _, _, err := w.PrepareCached(bench.Element, s, mode, bench.Options{}); err != nil {
-				return fmt.Errorf("%v/%v: populate: %w", s, mode, err)
-			}
-			cached, hit, err := w.PrepareCached(bench.Element, s, mode, bench.Options{})
-			if err != nil {
-				return fmt.Errorf("%v/%v: cached: %w", s, mode, err)
-			}
-			if !hit {
-				return fmt.Errorf("%v/%v: expected a cache hit", s, mode)
-			}
-			fresh, err := w.Prepare(bench.Element, s, mode, bench.Options{})
-			if err != nil {
-				return fmt.Errorf("%v/%v: fresh: %w", s, mode, err)
-			}
-			if cached.CodeSize != fresh.CodeSize {
-				return fmt.Errorf("%v/%v: code size diverges: cached %d, fresh %d",
-					s, mode, cached.CodeSize, fresh.CodeSize)
-			}
-			if cached.CodeSize > 0 {
-				cb, err := w.Mem.Read(cached.Entry, cached.CodeSize)
-				if err != nil {
-					return err
-				}
-				fb, err := w.Mem.Read(fresh.Entry, fresh.CodeSize)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(cb, fb) {
-					return fmt.Errorf("%v/%v: cached and fresh code bytes diverge", s, mode)
-				}
-			}
-			fmt.Printf("cachecheck %-12s %-12s %5d bytes identical\n", s, mode, cached.CodeSize)
-			checked++
-		}
-	}
-	fmt.Printf("cachecheck: cached == fresh for all %d mode/structure combinations\n", checked)
-	return nil
 }
 
 // runSeed builds every variant of one program and compares all paths on the

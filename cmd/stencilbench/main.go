@@ -1,22 +1,19 @@
-// Command stencilbench regenerates the paper's evaluation artifacts
-// (Section VI): Figures 9a, 9b, and 10, the Figure 6 and Figure 8 code
-// listings, the Section VI-B forced-vectorization experiment, and the
-// design-choice ablations DESIGN.md calls out.
+// Command stencilbench regenerates the paper's deterministic evaluation
+// artifacts (Section VI): the Figure 9a and 9b running times on the cycle
+// model, the Figure 6, 7 and 8 listings, the Section VI-B
+// forced-vectorization experiment, the design-choice ablations DESIGN.md
+// calls out, the corpus scorecard and the Futamura row. Wall-clock
+// measurements, Figure 10's transformation times among them, are the
+// benchmark/ module's (bash benchmark/run.sh).
 //
 // Usage:
 //
 //	stencilbench -fig 9a            # element-kernel running times
 //	stencilbench -fig 9b            # line-kernel running times
-//	stencilbench -fig 10            # transformation times (cold and cached-warm)
-//	stencilbench -fig throughput    # concurrent specialization throughput
-//	stencilbench -fig tiering       # one-shot O3 vs tiered execution
-//	stencilbench -fig service       # in-process vs dbrewd round-trip latency
-//	stencilbench -fig cache         # latency by serving level: compile/memory/disk/peer
 //	stencilbench -fig 6             # flag-cache IR comparison
+//	stencilbench -fig 7             # serialized stencil data structures
 //	stencilbench -fig 8             # DBrew vs DBrew+LLVM listings
-//	stencilbench -fig trace         # per-stage pipeline trace, cold vs. warm
 //	stencilbench -fig vec           # forced vectorization
-//	stencilbench -fig emu           # emulator interpreter vs block engine
 //	stencilbench -fig ablation      # lifter/pipeline ablations
 //	stencilbench -fig coverage      # rewriter-evaluation corpus scorecard
 //	stencilbench -fig futamura      # interpreter-specialization benchmark row
@@ -34,20 +31,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/corpus"
-	"repro/internal/service"
 )
 
+// figures lists the values -fig accepts besides all.
+var figures = []string{"7", "9a", "9b", "6", "8", "vec", "ablation", "coverage", "futamura"}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 7, 9a, 9b, 10, 6, 8, trace, vec, emu, ablation, throughput, tiering, service, cache, coverage, futamura, all")
+	fig := flag.String("fig", "all", fmt.Sprintf("figure to regenerate: %v or all", figures))
 	covOut := flag.String("coverage-out", "", "with -fig coverage: also write the scorecard JSON to this file")
 	size := flag.Int("size", 649, "matrix side length (paper: 649)")
 	rows := flag.Int("rows", 2, "interior rows to emulate per variant")
-	repeats := flag.Int("repeats", 10, "compile repetitions for figure 10 (paper: 1000)")
-	threads := flag.Int("threads", 8, "goroutines for the throughput experiment")
 	flag.Parse()
+	if *fig != "all" && !slices.Contains(figures, *fig) {
+		fatal(fmt.Errorf("unknown -fig %q (want one of %v or all)", *fig, figures))
+	}
 
 	w, err := bench.NewWorkload(*size)
 	if err != nil {
@@ -89,14 +90,6 @@ func main() {
 		fmt.Println(r.Format())
 		return nil
 	})
-	run("10", func() error {
-		rows10, err := w.RunFigure10(*repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatFigure10(rows10))
-		return nil
-	})
 	run("6", func() error {
 		with, without, err := w.Figure6IR()
 		if err != nil {
@@ -124,62 +117,8 @@ func main() {
 		fmt.Println()
 		return nil
 	})
-	run("throughput", func() error {
-		r, err := w.RunConcurrentThroughput(*threads, *repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		return nil
-	})
-	run("tiering", func() error {
-		r, err := w.RunTiering(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		return nil
-	})
-	run("service", func() error {
-		// A fresh, smaller workload: the service experiment ships the whole
-		// snapshot per request, and protocol overhead, not matrix size, is
-		// what it isolates.
-		rows, err := service.RunBenchmark(65, *repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Println(service.FormatBenchmark(rows))
-		return nil
-	})
-	run("cache", func() error {
-		// Latency by serving level: compile vs memory hit vs warm-restart
-		// disk hit vs fleet peer hit, one table per stencil structure.
-		rows, err := service.RunCacheBenchmark(65, *repeats)
-		if err != nil {
-			return err
-		}
-		fmt.Println(service.FormatCacheBenchmark(rows))
-		return nil
-	})
-	run("trace", func() error {
-		out, err := runTraceDemo(w)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Pipeline trace — one span per stage, cold vs. warm:")
-		fmt.Println(out)
-		return nil
-	})
 	run("vec", func() error {
 		r, err := w.RunVectorization(*rows)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		return nil
-	})
-	run("emu", func() error {
-		r, err := w.RunEmuSpeed(*repeats)
 		if err != nil {
 			return err
 		}

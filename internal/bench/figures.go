@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/dbrew"
@@ -81,87 +80,6 @@ func (r *FigureResult) Get(s Structure, m Mode) *Bar {
 		}
 	}
 	return nil
-}
-
-// CompileTimeRow is one bar of Figure 10, extended with the warm
-// (specialization-cache hit) lookup time for the same request.
-type CompileTimeRow struct {
-	Structure Structure
-	Mode      Mode
-	Avg       time.Duration // cold: full transformation
-	Warm      time.Duration // cached: PrepareCached hit for the same key
-	Speedup   float64       // Avg / Warm
-}
-
-// figure10Modes are the non-native transformation modes Figure 10 times.
-var figure10Modes = []Mode{LLVM, LLVMFix, DBrew, DBrewLLVM}
-
-// RunFigure10 regenerates Figure 10: average transformation times of the
-// non-native modes on the line kernels, averaged over repeats (the paper
-// performs 1000 compiles; pass repeats accordingly). Each row also carries
-// the warm time — the cost of PrepareCached when the specialization cache
-// already holds the compiled variant.
-func (w *Workload) RunFigure10(repeats int) ([]CompileTimeRow, error) {
-	if repeats <= 0 {
-		repeats = 10
-	}
-	prev := w.cache
-	w.EnableCache(256)
-	defer func() { w.cache = prev }()
-	var rows []CompileTimeRow
-	for _, s := range AllStructures {
-		for _, mode := range figure10Modes {
-			var total time.Duration
-			for i := 0; i < repeats; i++ {
-				v, err := w.Prepare(Line, s, mode, Options{})
-				if err != nil {
-					return nil, fmt.Errorf("%v/%v: %w", s, mode, err)
-				}
-				total += v.CompileTime
-			}
-			// Populate the cache once, then time pure hits.
-			if _, _, err := w.PrepareCached(Line, s, mode, Options{}); err != nil {
-				return nil, fmt.Errorf("%v/%v warm: %w", s, mode, err)
-			}
-			var warm time.Duration
-			for i := 0; i < repeats; i++ {
-				start := time.Now()
-				_, hit, err := w.PrepareCached(Line, s, mode, Options{})
-				warm += time.Since(start)
-				if err != nil {
-					return nil, fmt.Errorf("%v/%v warm: %w", s, mode, err)
-				}
-				if !hit {
-					return nil, fmt.Errorf("%v/%v warm: cache miss on populated key", s, mode)
-				}
-			}
-			row := CompileTimeRow{
-				Structure: s, Mode: mode,
-				Avg:  total / time.Duration(repeats),
-				Warm: warm / time.Duration(repeats),
-			}
-			if row.Warm > 0 {
-				row.Speedup = float64(row.Avg) / float64(row.Warm)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// FormatFigure10 renders the compile-time table with cold and warm columns.
-func FormatFigure10(rows []CompileTimeRow) string {
-	var b strings.Builder
-	b.WriteString("Figure 10 — average transformation time of the line kernels [ms]\n")
-	fmt.Fprintf(&b, "%-14s %-12s %10s %10s %9s\n", "structure", "mode", "time [ms]", "warm [µs]", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-12s %10.3f %10.3f %8.0fx\n",
-			r.Structure, r.Mode,
-			float64(r.Avg.Microseconds())/1000.0,
-			float64(r.Warm.Nanoseconds())/1000.0,
-			r.Speedup)
-	}
-	return b.String()
 }
 
 // VectorizationResult is the Section VI-B experiment.

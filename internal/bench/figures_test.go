@@ -30,17 +30,6 @@ func TestFigureRunnersAndFormatting(t *testing.T) {
 		t.Error("Get with invalid mode must return nil")
 	}
 
-	rows, err := w.RunFigure10(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Fatalf("12 compile-time rows expected, got %d", len(rows))
-	}
-	if !strings.Contains(FormatFigure10(rows), "time [ms]") {
-		t.Error("figure 10 format broken")
-	}
-
 	vec, err := w.RunVectorization(1)
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,9 @@ import "repro/internal/abi"
 
 // SpecInput names one Section VI specialization as Engine/Rewriter inputs:
 // the kernel entry, its ABI signature, and the serialized stencil the
-// specialization fixes parameter 0 to. It is how the dbrewd service layer
-// (and its round-trip benchmark and smoke mode) reuses the paper's
-// workload without depending on this package's preparation machinery.
+// specialization fixes parameter 0 to. It is how the dbrewd tests and smoke
+// mode, and benchmark/, reuse the paper's workload without depending on
+// this package's preparation machinery.
 type SpecInput struct {
 	Entry       uint64
 	Sig         abi.Signature

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestPaperShape asserts the qualitative results of Section VI: who wins,
@@ -207,18 +209,18 @@ func TestCompileTimeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := w.RunFigure10(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The minimum of three compiles per row keeps one scheduler hiccup from
+	// flipping an ordering.
 	find := func(s Structure, m Mode) float64 {
-		for _, r := range rows {
-			if r.Structure == s && r.Mode == m {
-				return float64(r.Avg.Nanoseconds())
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			v, err := w.Prepare(Line, s, m, Options{})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", s, m, err)
 			}
+			best = min(best, v.CompileTime)
 		}
-		t.Fatalf("missing row %v/%v", s, m)
-		return 0
+		return float64(best.Nanoseconds())
 	}
 	for _, s := range AllStructures {
 		db := find(s, DBrew)

@@ -2,17 +2,18 @@
 // code-generation modes — Original, LLVM transformation, LLVM transformation
 // with parameter fixation, DBrew, and DBrew combined with the LLVM backend —
 // applied to the element and line kernels over the three stencil structures,
-// plus the measurement machinery that regenerates Figures 9a, 9b, and 10 and
-// the Section VI-B forced-vectorization experiment.
+// plus the cycle-model measurement that regenerates Figures 9a and 9b, the
+// Figure 6–8 listings, the Section VI-B forced-vectorization experiment and
+// the ablations. Everything here is deterministic; wall-clock timing
+// (Figure 10 transformation times, engine rates, tiering, serving) is the
+// job of the benchmark/ module, which builds its workloads on this package.
 package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/abi"
-	"repro/internal/codecache"
 	"repro/internal/dbrew"
 	"repro/internal/emu"
 	"repro/internal/ir"
@@ -96,12 +97,6 @@ type Workload struct {
 	SortedAddr   uint64
 	SortedHeader int
 	SortedSize   int
-
-	// cache, when enabled, deduplicates PrepareCached compilations;
-	// compileMu serializes the compilations themselves (preparation
-	// allocates and writes the shared emulated address space).
-	cache     *codecache.Cache[*Variant]
-	compileMu sync.Mutex
 }
 
 // NewWorkload builds the full workload for side length sz (the paper: 649)

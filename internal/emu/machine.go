@@ -3,19 +3,9 @@ package emu
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/x86"
 )
-
-// retiredTotal counts instructions retired by every machine's Run loop in
-// the process. Benchmarks snapshot it around an experiment to report
-// emulated instructions/second without per-instruction counting overhead.
-var retiredTotal atomic.Uint64
-
-// TotalRetired returns the process-wide number of emulated instructions
-// retired so far.
-func TotalRetired() uint64 { return retiredTotal.Load() }
 
 func f64bits(v float64) uint64     { return math.Float64bits(v) }
 func f64frombits(u uint64) float64 { return math.Float64frombits(u) }
@@ -125,10 +115,6 @@ type Machine struct {
 	// trace entries keyed by it. Purely a performance hint; stale values
 	// only cost an extra selection miss.
 	traceCtx uint64
-
-	// runDepth guards the retiredTotal accounting against nested Run calls
-	// (a CallHook may re-enter Call).
-	runDepth int
 }
 
 // NewMachine returns a machine over mem with the default cost model.
@@ -429,14 +415,6 @@ func (m *Machine) Step() error {
 // Interp, CountOps, or CallHook asks to observe every instruction. Both
 // paths produce identical architectural results and accounting.
 func (m *Machine) Run(maxInst uint64) error {
-	start := m.InstCount
-	m.runDepth++
-	defer func() {
-		m.runDepth--
-		if m.runDepth == 0 {
-			retiredTotal.Add(m.InstCount - start)
-		}
-	}()
 	if m.Interp || m.CountOps || m.CallHook != nil {
 		return m.runInterp(maxInst)
 	}

@@ -67,9 +67,6 @@ type Options struct {
 	// MaxScan bounds the shortcut's decode scan in bytes (default 4096).
 	// Functions longer than this take the lowering route.
 	MaxScan int
-	// NoShortcut disables the direct-from-x86 route, forcing ModeLower.
-	// Used by benchmarks and tests to measure the lowering path alone.
-	NoShortcut bool
 }
 
 // Result describes a successful fastpath compile.
@@ -131,13 +128,11 @@ func Compile(mem *emu.Memory, entry uint64, name string, sig abi.Signature, opts
 }
 
 func compile(mem *emu.Memory, entry uint64, name string, sig abi.Signature, opts Options) (*Result, error) {
-	if !opts.NoShortcut {
-		if res, ok := tryCopy(mem, entry, name, opts); ok {
-			counters.copies.Add(1)
-			return res, nil
-		}
-		counters.rejects.Add(1)
+	if res, ok := tryCopy(mem, entry, name, opts); ok {
+		counters.copies.Add(1)
+		return res, nil
 	}
+	counters.rejects.Add(1)
 
 	lo := lift.DefaultOptions()
 	lo.Trace = opts.Trace

@@ -183,22 +183,6 @@ func TestRIPRelativeStoreCopyFixup(t *testing.T) {
 	}
 }
 
-func TestNoShortcutForcesLower(t *testing.T) {
-	mem, _ := place(t, maxCode)
-	res, err := Compile(mem, codeBase, "max", i2Sig, Options{NoShortcut: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeLower {
-		t.Fatalf("mode = %v, want lower", res.Mode)
-	}
-	for _, in := range [][2]uint64{{3, 9}, {9, 3}} {
-		if w, g := run(t, mem, codeBase, in[0], in[1]), run(t, mem, res.Entry, in[0], in[1]); g != w {
-			t.Errorf("max(%d,%d): lowered = %d, original = %d", in[0], in[1], g, w)
-		}
-	}
-}
-
 func TestScanStraightLine(t *testing.T) {
 	mem, code := place(t, maxCode)
 	insts, n, ok := scanStraightLine(mem, codeBase, 0)

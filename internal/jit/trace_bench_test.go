@@ -109,7 +109,8 @@ func BenchmarkEmuLinked(b *testing.B) {
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(float64(insts)/s, "inst/s")
 		}
-		// benchemu gates on the traces row having linked at least once.
+		// Links per run, so the traces row shows the hand-off happening;
+		// TestTraceLinkAdjacentLoops asserts that it does.
 		b.ReportMetric(float64(after.Links-before.Links), "links")
 	}
 	b.Run("blocks", func(b *testing.B) { bench(b, modeBlocks, false) })

@@ -59,7 +59,7 @@ func (e *APIError) Is(target error) bool {
 }
 
 // Client is the typed dbrewd client used by cmd/dbrewd's smoke mode, the
-// round-trip benchmark, and the end-to-end tests.
+// serve_* workloads of benchmark/, and the end-to-end tests.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:7411".
 	BaseURL string
