@@ -32,9 +32,9 @@ race-tiering:
 race-service:
 	$(GO) test -race -count=1 ./internal/service/... ./internal/codecache/...
 
-# Fastpath baseline backend: the package suite plus the strategy-sensitive
-# call sites — the dbrewd strategy selection and the pinned copy-shortcut
-# seeds — fresh under the race detector.
+# Fastpath baseline backend: the package suite plus the pinned copy-shortcut
+# seeds, and dbrewd's deadline strategy (which shares the name), fresh under
+# the race detector.
 race-fastpath:
 	$(GO) test -race -count=1 ./internal/fastpath/...
 	$(GO) test -race -count=1 -run 'Fastpath' ./internal/service ./internal/crosstest

@@ -14,13 +14,12 @@ import (
 	"fmt"
 	"os"
 
+	dbrewllvm "repro"
 	"repro/internal/abi"
 	"repro/internal/bench"
 	"repro/internal/dbrew"
 	"repro/internal/emu"
-	"repro/internal/jit"
-	"repro/internal/lift"
-	"repro/internal/opt"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -56,37 +55,28 @@ func main() {
 		fatal(fmt.Errorf("unknown kernel %q", *kernel))
 	}
 
-	r := dbrew.NewRewriter(w.Mem, entry, sig)
+	r := dbrewllvm.NewRewriter(&dbrewllvm.Engine{Mem: w.Mem}, entry, sig)
+	r.Strict = true
 	r.SetParPtr(0, sAddr, sSize)
+	if *llvm {
+		r.SetBackend(dbrewllvm.BackendLLVM)
+	}
+	tr := trace.New("dbrew")
+	r.Trace = tr
 	newFn, err := r.Rewrite()
 	if err != nil {
 		fatal(err)
 	}
-	if r.Stats.Failed {
-		fatal(fmt.Errorf("rewriting failed, fell back to the original: %v", r.Stats.Err))
-	}
 	fmt.Printf("rewrote %s: decoded %d, emitted %d, eliminated %d, inlined %d calls, %d bytes\n\n",
 		*kernel, r.Stats.Decoded, r.Stats.Emitted, r.Stats.Eliminated, r.Stats.Inlined, r.Stats.CodeSize)
-
-	codeSize := r.Stats.CodeSize
 	if *llvm {
-		l := lift.New(w.Mem, lift.DefaultOptions())
-		f, err := l.LiftFunc(newFn, "rewritten", sig)
-		if err != nil {
-			fatal(err)
-		}
-		st := opt.Optimize(f, opt.O3())
-		comp := jit.NewCompiler(w.Mem)
-		newFn, err = comp.CompileModule(l.Module, f.Nam)
-		if err != nil {
-			fatal(err)
-		}
-		codeSize = comp.Sizes[newFn]
-		fmt.Printf("LLVM backend: %d -> %d IR instructions, %d bytes of code\n\n",
-			st.InstsBefore, st.InstsAfter, codeSize)
+		sp := tr.Find("optimize")
+		in, _ := sp.Attr("insts_in")
+		out, _ := sp.Attr("insts_out")
+		fmt.Printf("LLVM backend: %d -> %d IR instructions, %d bytes of code\n\n", in, out, r.CodeSize)
 	}
 
-	lst, err := dbrew.Listing(w.Mem, newFn, codeSize)
+	lst, err := dbrew.Listing(w.Mem, newFn, r.CodeSize)
 	if err != nil {
 		fatal(err)
 	}

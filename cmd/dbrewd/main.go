@@ -45,7 +45,7 @@ func main() {
 	cacheCap := flag.Int("cache", 1024, "specialization cache capacity (entries)")
 	cacheDir := flag.String("cachedir", "", "persistent artifact store directory (empty disables persistence); /healthz answers 503 \"warming\" until its index loads")
 	cacheBytes := flag.Int64("cachebytes", 0, "disk artifact store byte budget (0 selects the diskcache default)")
-	fastpath := flag.Duration("fastpath-deadline", 250*time.Millisecond, "switch to the single-pass fastpath backend when a request's remaining deadline budget is below this (0 disables)")
+	fastpath := flag.Duration("fastpath-deadline", 250*time.Millisecond, "compile with the DBrew backend alone when a request's remaining deadline budget is below this (0 disables)")
 	self := flag.String("self", "", "this node's advertised host:port for fleet mode (defaults to -addr when -peers is set)")
 	peers := flag.String("peers", "", "comma-separated host:port fleet peer list; enables peer artifact sharing")
 	smoke := flag.Bool("smoke", false, "run the self-test against an ephemeral server and exit")
@@ -196,9 +196,8 @@ func runSmoke(cfg service.Config) error {
 	}
 
 	// Deadline pressure: a budget below -fastpath-deadline must flip the
-	// server to the single-pass baseline backend, compiled fresh (the
-	// strategy is part of the cache key, so the warm full artifact must
-	// not be served).
+	// server to the DBrew backend, compiled fresh (the backend is part of
+	// the cache key, so the warm full artifact must not be served).
 	var fast *service.Response
 	if cfg.FastpathDeadline > 0 {
 		fastReq := *req
@@ -239,7 +238,7 @@ func runSmoke(cfg service.Config) error {
 		cold.Stats.Decoded, cold.Stats.Emitted, cold.Stats.Eliminated)
 	fmt.Printf("  warm: %5d us, cache hit\n", warm.ElapsedUS)
 	if fast != nil {
-		fmt.Printf("  fastpath: %5d us, %d bytes under a %dms budget (strategy %q, %d served)\n",
+		fmt.Printf("  fastpath: %5d us, %d bytes of DBrew code under a %dms budget (strategy %q, %d served)\n",
 			fast.ElapsedUS, len(fast.Code), cfg.FastpathDeadline.Milliseconds()*4/5,
 			fast.Strategy, m.FastpathServed)
 	}

@@ -92,16 +92,11 @@ type Engine struct {
 	// the dbrewd fleet layer hooks eviction broadcasts here.
 	evictNotify func(codecache.Key)
 
-	// compiles counts actual pipeline executions (DBrew rewrite, and for the
-	// LLVM backend lift+opt+JIT) — NOT lookups served from the in-memory
-	// cache, the disk store, or a peer. It is the counter warm-restart and
+	// compiles counts actual pipeline executions (Rewriter.specialize runs,
+	// from Rewrite calls and tier promotions alike) — NOT lookups served
+	// from the in-memory cache, the disk store, or a peer. It is the counter warm-restart and
 	// fleet exactly-once tests assert on.
 	compiles atomic.Int64
-
-	// fastpathCompiles counts the subset of compiles that took the fastpath
-	// strategy (Rewriter.Fastpath): specialized by DBrew but emitted by the
-	// single-pass baseline backend instead of the O3+linear-scan pipeline.
-	fastpathCompiles atomic.Int64
 
 	// tiering, when non-nil, is the tiered-execution manager installed by
 	// EnableTiering (see tiering.go).
@@ -172,14 +167,10 @@ func (e *Engine) CacheStats() (st codecache.Stats, ok bool) {
 // tell "disabled" from "enabled but idle" exactly like the (Stats, ok)
 // accessor pairs do.
 type EngineStats struct {
-	// Compiles counts actual pipeline executions: every Rewrite that ran the
-	// compiler rather than being served from memory, disk, or a peer. Always
+	// Compiles counts actual pipeline executions: every Rewrite or tier
+	// promotion that ran the compiler rather than being served from memory, disk, or a peer. Always
 	// present (a fresh engine reports 0).
 	Compiles int64 `json:"compiles"`
-	// FastpathCompiles counts the subset of Compiles that used the fastpath
-	// strategy (specialize, then single-pass baseline emit with no optimizer
-	// rounds) — the deadline-pressured requests in dbrewd.
-	FastpathCompiles int64 `json:"fastpath_compiles"`
 	// Cache is CacheStats, nil when the specialization cache is disabled.
 	Cache *codecache.Stats `json:"cache,omitempty"`
 	// CacheHitRatio is the derived warm fraction Hits/(Hits+Misses) of the
@@ -194,10 +185,7 @@ type EngineStats struct {
 
 // Stats snapshots CacheStats, DiskStats, and TierStats in one call.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{
-		Compiles:         e.compiles.Load(),
-		FastpathCompiles: e.fastpathCompiles.Load(),
-	}
+	s := EngineStats{Compiles: e.compiles.Load()}
 	if st, ok := e.CacheStats(); ok {
 		s.Cache = &st
 		if lookups := st.Hits + st.Misses; lookups > 0 {
@@ -267,9 +255,6 @@ func (e *Engine) RegisterMetrics(reg *trace.Registry) {
 	reg.Counter("dbrew_engine_compiles_total",
 		"Actual pipeline executions (not served from memory, disk, or a peer).",
 		func() float64 { return float64(e.compiles.Load()) })
-	reg.Counter("dbrew_engine_fastpath_compiles_total",
-		"Pipeline executions that used the fastpath strategy (baseline backend, no optimizer).",
-		func() float64 { return float64(e.fastpathCompiles.Load()) })
 }
 
 // CachePeek reports whether the specialization key k is already cached and
@@ -428,16 +413,6 @@ type Rewriter struct {
 	// even when Engine.EnableCache is active (e.g. for one-off rewrites that
 	// would only pollute the cache).
 	NoCache bool
-
-	// Fastpath trades steady-state code quality for compile latency in the
-	// LLVM backend: the DBrew rewrite still runs (the specialization is
-	// preserved), but the lifted IR skips the optimizer entirely and is
-	// emitted by the JIT's single-pass baseline mode. dbrewd selects this
-	// strategy automatically when a request's remaining deadline budget is
-	// below its configured threshold. The specialization cache key includes
-	// this flag, so fastpath and full builds of one configuration never
-	// alias.
-	Fastpath bool
 
 	// Trace, when non-nil, receives the pipeline spans of the next Rewrite
 	// call (cache lookup, rewrite, decode, lift, optimize rounds, jit) —
@@ -621,7 +596,6 @@ func (r *Rewriter) cacheKey() (codecache.Key, bool) {
 	h.U64(r.entry)
 	h.I64(int64(r.backend))
 	h.Bool(r.FastMath)
-	h.Bool(r.Fastpath)
 	h.I64(int64(r.ForceVectorWidth))
 
 	h.I64(int64(r.sig.Ret))
@@ -662,20 +636,15 @@ func (r *Rewriter) cacheKey() (codecache.Key, bool) {
 	return h.Sum(), true
 }
 
-// compile is the uncached Rewrite path: DBrew pass, then (for BackendLLVM)
-// lift → optimize → JIT. Stage failures fall back to the best earlier
+// compile is the uncached Rewrite path: specialize, then (for BackendLLVM)
+// optimize over its output. Stage failures fall back to the best earlier
 // result (DBrew's default error handling) unless Strict is set, in which
 // case they surface as *StageError. tr (which may be nil) receives one span
 // per executed stage.
 func (r *Rewriter) compile(tr *trace.Trace) (uint64, error) {
-	r.eng.compiles.Add(1)
-	r.lastIR = ""
-	r.rw.Trace = tr
-	addr, err := r.rw.Rewrite()
-	r.Stats = r.rw.Stats
-	r.CodeSize = r.Stats.CodeSize
+	addr, err := r.specialize(tr)
 	if err != nil {
-		return 0, &StageError{Stage: StageRewrite, Err: err}
+		return 0, err
 	}
 	if r.Stats.Failed && r.Strict {
 		cause := r.Stats.Err
@@ -687,26 +656,50 @@ func (r *Rewriter) compile(tr *trace.Trace) (uint64, error) {
 	if r.backend == BackendDBrew || r.Stats.Failed {
 		return addr, nil
 	}
+	jaddr, err := r.optimize(addr, tr)
+	if err != nil {
+		if r.Strict {
+			return 0, err
+		}
+		// A lift or JIT failure falls back to the DBrew output.
+		return addr, nil
+	}
+	return jaddr, nil
+}
+
+// specialize is the pipeline's first stage, DBrew's binary rewriting: it
+// counts one compile and sets Stats and CodeSize. On a DBrew fallback it
+// returns the original entry with Stats.Failed set.
+func (r *Rewriter) specialize(tr *trace.Trace) (uint64, error) {
+	r.eng.compiles.Add(1)
+	r.lastIR = ""
+	r.rw.Trace = tr
+	addr, err := r.rw.Rewrite()
+	r.Stats = r.rw.Stats
+	r.CodeSize = r.Stats.CodeSize
+	if err != nil {
+		return 0, &StageError{Stage: StageRewrite, Err: err}
+	}
+	return addr, nil
+}
+
+// optimize is the pipeline's second stage: lift the code at addr, run
+// opt.O3 over it and JIT-compile the result, setting CodeSize on success.
+// Failures are *StageError values; under Strict the IR verifier runs
+// between optimization and JIT.
+func (r *Rewriter) optimize(addr uint64, tr *trace.Trace) (uint64, error) {
 	lo := lift.DefaultOptions()
 	lo.Trace = tr
 	l := lift.New(r.eng.Mem, lo)
 	f, err := l.LiftFunc(addr, "rewritten", r.sig)
 	if err != nil {
-		if r.Strict {
-			return 0, &StageError{Stage: StageLift, Err: err}
-		}
-		// Lifting failure falls back to the DBrew output.
-		return addr, nil
+		return 0, &StageError{Stage: StageLift, Err: err}
 	}
-	if r.Fastpath {
-		r.eng.fastpathCompiles.Add(1)
-	} else {
-		cfg := opt.O3()
-		cfg.FastMath = r.FastMath
-		cfg.ForceVectorWidth = r.ForceVectorWidth
-		cfg.Trace = tr
-		opt.Optimize(f, cfg)
-	}
+	cfg := opt.O3()
+	cfg.FastMath = r.FastMath
+	cfg.ForceVectorWidth = r.ForceVectorWidth
+	cfg.Trace = tr
+	opt.Optimize(f, cfg)
 	if r.eng.disk != nil {
 		// The persisted artifact carries the optimized IR for debuggability;
 		// only pay the formatting cost when something will store it.
@@ -718,14 +711,10 @@ func (r *Rewriter) compile(tr *trace.Trace) (uint64, error) {
 		}
 	}
 	comp := jit.NewCompiler(r.eng.Mem)
-	comp.Baseline = r.Fastpath
 	comp.Trace = tr
 	jaddr, err := comp.CompileModule(l.Module, f.Nam)
 	if err != nil {
-		if r.Strict {
-			return 0, &StageError{Stage: StageJIT, Err: err}
-		}
-		return addr, nil
+		return 0, &StageError{Stage: StageJIT, Err: err}
 	}
 	r.CodeSize = comp.Sizes[jaddr]
 	return jaddr, nil

@@ -24,8 +24,8 @@ func ExampleEngine_StatsJSON() {
 	b, _ = eng.StatsJSON()
 	fmt.Println(string(b))
 	// Output:
-	// {"compiles":0,"fastpath_compiles":0}
-	// {"compiles":0,"fastpath_compiles":0,"cache":{"Hits":0,"Misses":0,"Waits":0,"Evictions":0,"Entries":0}}
+	// {"compiles":0}
+	// {"compiles":0,"cache":{"Hits":0,"Misses":0,"Waits":0,"Evictions":0,"Entries":0}}
 }
 
 // CacheStats distinguishes "cache disabled" (zero Stats sentinel, ok ==

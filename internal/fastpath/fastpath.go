@@ -18,9 +18,9 @@
 //     one walk — no optimizer rounds, no liveness fixpoint, no linear scan.
 //
 // Its users are the benchmark's compile_baseline route, which times it
-// against the rewriting routes, and the evaluation corpus, which runs it
-// as a differential path. dbrewd's deadline strategy does not call this
-// package; it uses jit.Compiler.Baseline directly on DBrew's output.
+// against the rewriting routes, and the evaluation corpus and crosstest,
+// which run it as a differential path. It is the only user of
+// jit.Compiler.Baseline.
 package fastpath
 
 import (

@@ -14,7 +14,7 @@ type Compiler struct {
 	Mem *emu.Memory
 	// NamePrefix, when set, prefixes the names of placed code regions
 	// ("jitcode.<prefix><func>"), so memory maps distinguish multiple
-	// generations of one function (e.g. tiered execution's "t1."/"t2.").
+	// generations of one function (e.g. the corpus's per-path prefixes).
 	NamePrefix string
 	// Trace, when non-nil, receives one "jit" span per CompileModule call
 	// with the compiled function count and emitted code size. A nil Trace
@@ -24,9 +24,9 @@ type Compiler struct {
 	// and a fixed all-in-slots allocation happen in one walk over the lifted
 	// IR, with no fusion analysis, no liveness fixpoint, no linear scan, and
 	// no pre-compile verification. Compile latency drops by an order of
-	// magnitude; code quality is comparable to an -O0 build. Used by
-	// internal/fastpath's lowering route (the benchmark's compile_baseline
-	// route and the corpus) and by dbrewd's deadline strategy.
+	// magnitude; code quality is comparable to an -O0 build. Its only
+	// caller is internal/fastpath's lowering route (used by the benchmark's
+	// compile_baseline route, the corpus and crosstest).
 	Baseline bool
 	// entries records where each compiled function was placed.
 	entries map[*ir.Func]uint64

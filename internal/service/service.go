@@ -54,9 +54,10 @@ type Config struct {
 
 	// FastpathDeadline switches deadline-pressured requests to the fastpath
 	// compile strategy: when a request's remaining deadline budget (after
-	// clamping) is below this threshold, the rewriter skips the optimizer
-	// and emits through the single-pass baseline backend — a much cheaper
-	// compile whose output is still correct, just less optimized. Zero
+	// clamping) is below this threshold, the rewriter uses the DBrew backend
+	// — DBrew's specialization alone, the code tier 1 installs, without the
+	// lift, O3 and JIT stages. The compile is much cheaper and the code is
+	// still specialized, just not optimized by the LLVM-style backend. Zero
 	// disables the automatic switch (every request takes the full pipeline);
 	// cmd/dbrewd enables it at 250ms by default. Response.Strategy reports
 	// the choice per request.
@@ -511,7 +512,7 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 
 	// Strategy selection: a request whose remaining budget is below the
 	// configured threshold cannot afford the optimizer — compile it with the
-	// single-pass fastpath backend instead of risking a 504. Decided from
+	// DBrew backend alone instead of risking a 504. Decided from
 	// the context deadline (not the nominal request deadline), so time
 	// already burned upstream counts against the budget.
 	strategy := strategyFull
@@ -534,7 +535,6 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 
 	rw := dbrewllvm.NewRewriter(s.eng, req.Entry, sig)
 	rw.Strict = true
-	rw.Fastpath = strategy == strategyFastpath
 	rw.FastMath = !req.NoFastMath
 	rw.ForceVectorWidth = req.ForceVectorWidth
 	switch req.Backend {
@@ -544,6 +544,9 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 		rw.SetBackend(dbrewllvm.BackendDBrew)
 	default:
 		return nil, http.StatusBadRequest, "", fmt.Errorf("unknown backend %q (want llvm or dbrew)", req.Backend)
+	}
+	if strategy == strategyFastpath {
+		rw.SetBackend(dbrewllvm.BackendDBrew)
 	}
 	if req.Limits != nil {
 		rw.SetConfig(dbrew.Config{

@@ -141,10 +141,10 @@ type Response struct {
 	// "compile" (this node ran the pipeline).
 	Source string `json:"source,omitempty"`
 	// Strategy names the compile strategy the server chose for this
-	// request: "full" (specialize + O3 + JIT) or "fastpath" (specialize,
-	// then the single-pass baseline backend — selected automatically when
-	// the remaining deadline budget fell below the server's configured
-	// threshold).
+	// request: "full" (the requested backend) or "fastpath" (the DBrew
+	// backend alone, whatever the request asked for — selected
+	// automatically when the remaining deadline budget fell below the
+	// server's configured threshold).
 	Strategy string `json:"strategy,omitempty"`
 	// Stats are the compile statistics (restored from cache on a hit).
 	Stats CompileStats `json:"stats"`

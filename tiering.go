@@ -9,17 +9,14 @@ package dbrewllvm
 // get the paper's cheap half — DBrew's specialization alone — once warm,
 // and its expensive half — that output lifted and optimized at O3 — once
 // hot, with deoptimization back to the interpreter when a fixed memory
-// region is invalidated.
+// region is invalidated. Both compiled tiers run the Rewriter's own
+// pipeline stages (specialize, optimize), so a tier's code is the code a
+// one-shot Rewrite with the matching backend emits.
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/dbrew"
-	"repro/internal/emu"
-	"repro/internal/jit"
-	"repro/internal/lift"
-	"repro/internal/opt"
 	"repro/internal/tier"
 	"repro/internal/trace"
 )
@@ -110,51 +107,53 @@ func (e *Engine) InvalidateRange(start, end uint64) int {
 // Tiered registers the rewriter's function with the engine's tiering
 // manager and returns its dispatch handle. The rewriter's configuration —
 // fixed parameters, fixed memory regions, FastMath, ForceVectorWidth,
-// resource limits — is snapshotted at this point and defines the
-// specialization every tier computes:
+// resource limits — is snapshotted at this point into a private Rewriter,
+// whose two pipeline stages every compiled tier reuses:
 //
 //	tier 0  interprets the original code with fixed parameters pinned at
 //	        dispatch, so results match the specialization from call one
 //	tier 1  runs DBrew's specialization alone, the paper's lightweight
 //	        rewriter (the same code a one-shot BackendDBrew Rewrite emits)
-//	tier 2  lifts that DBrew output and runs opt.O3 + JIT over it
+//	tier 2  lifts that DBrew output and runs opt.O3 + JIT over it (the
+//	        same code a one-shot BackendLLVM Rewrite emits)
 //
-// Tier 1 is exactly the first stage of tier 2. A DBrew fallback fails the
-// tier-1 compile, so the handle stays at tier 0 until tier 2, which then
-// optimizes the original code instead.
+// A DBrew fallback fails the tier-1 compile, so the handle stays at tier 0
+// until tier 2, which then optimizes the original code instead. Each
+// promotion counts as one compile in Engine.CompileCount.
 //
 // The rewriter itself is not retained; it can be reconfigured or discarded
-// afterwards. The backend selection is ignored.
+// afterwards. The backend selection and Strict are ignored.
 func (r *Rewriter) Tiered(name string) (*TieredFunc, error) {
 	mgr := r.eng.tiering
 	if mgr == nil {
 		return nil, ErrTieringDisabled
 	}
 	eng := r.eng
-	ts := &tierSpec{
-		entry:    r.entry,
-		name:     name,
-		sig:      r.sig,
-		fastMath: r.FastMath,
-		fvw:      r.ForceVectorWidth,
-		dcfg:     r.rw.Config(),
-		params:   r.rw.KnownParams(),
-		ranges:   r.rw.Ranges(),
+	p := NewRewriter(eng, r.entry, r.sig)
+	p.FastMath = r.FastMath
+	p.ForceVectorWidth = r.ForceVectorWidth
+	p.SetConfig(r.rw.Config())
+	params := r.rw.KnownParams()
+	fixed := make([]tier.FixedArg, len(params))
+	for i, fp := range params {
+		p.SetPar(fp.Idx, fp.Value)
+		fixed[i] = tier.FixedArg{Idx: fp.Idx, Val: fp.Value}
 	}
-
-	fixed := make([]tier.FixedArg, len(ts.params))
-	for i, p := range ts.params {
-		fixed[i] = tier.FixedArg{Idx: p.Idx, Val: p.Value}
-	}
-	tranges := make([]tier.Range, len(ts.ranges))
-	for i, rg := range ts.ranges {
+	ranges := r.rw.Ranges()
+	tranges := make([]tier.Range, len(ranges))
+	for i, rg := range ranges {
+		p.SetMem(rg.Start, rg.End)
 		tranges[i] = tier.Range{Start: rg.Start, End: rg.End}
 	}
 
 	compile := func(target TierLevel) (tier.CompileResult, error) {
+		if target != Tier1 && target != Tier2 {
+			return tier.CompileResult{}, fmt.Errorf("dbrewllvm: no compiler for %v", target)
+		}
 		// Compilations mutate the shared address space (they allocate code
 		// pages); serialize them against one another and against cached
-		// Rewrite compiles, exactly like the one-shot path.
+		// Rewrite compiles, exactly like the one-shot path. The lock also
+		// makes p's output fields safe to reuse across promotions.
 		eng.compileMu.Lock()
 		defer eng.compileMu.Unlock()
 		var tr *trace.Trace
@@ -165,96 +164,32 @@ func (r *Rewriter) Tiered(name string) (*TieredFunc, error) {
 				eng.lastTrace.Store(tr)
 			}()
 		}
+		addr, err := p.specialize(tr)
 		switch target {
 		case Tier1:
-			return ts.compileTier1(eng.Mem, tr)
-		case Tier2:
-			return ts.compileTier2(eng.Mem, tr)
+			// A fallback to the original code is no promotion at all.
+			if err == nil && p.Stats.Failed {
+				err = p.Stats.Err
+			}
+			if err != nil {
+				return tier.CompileResult{}, fmt.Errorf("tier1: %w", err)
+			}
+		default:
+			if err != nil || p.Stats.Failed {
+				addr = p.entry // fall back to optimizing the original code
+			}
+			if addr, err = p.optimize(addr, tr); err != nil {
+				return tier.CompileResult{}, fmt.Errorf("tier2: %w", err)
+			}
 		}
-		return tier.CompileResult{}, fmt.Errorf("dbrewllvm: no compiler for %v", target)
+		return tier.CompileResult{Entry: addr, CodeSize: p.CodeSize}, nil
 	}
 
 	return mgr.Register(tier.FuncSpec{
 		Name:    name,
-		Entry:   ts.entry,
+		Entry:   r.entry,
 		Fixed:   fixed,
 		Ranges:  tranges,
 		Compile: compile,
 	})
-}
-
-// tierSpec is the configuration a tiered handle snapshots at registration.
-type tierSpec struct {
-	entry    uint64
-	name     string
-	sig      Signature
-	fastMath bool
-	fvw      int
-	dcfg     dbrew.Config
-	params   []dbrew.ParamFix
-	ranges   []dbrew.Range
-}
-
-// specialize is the DBrew step both compiled tiers start with: a fresh
-// rewriter over the snapshotted limits, fixed parameters and fixed memory
-// ranges. On a DBrew fallback it returns the original entry with
-// Stats.Failed set.
-func (ts *tierSpec) specialize(mem *emu.Memory, tr *trace.Trace) (uint64, dbrew.Stats, error) {
-	rw := dbrew.NewRewriter(mem, ts.entry, ts.sig)
-	rw.SetConfig(ts.dcfg)
-	rw.Trace = tr
-	for _, p := range ts.params {
-		rw.SetPar(p.Idx, p.Value)
-	}
-	for _, rg := range ts.ranges {
-		rw.SetMem(rg.Start, rg.End)
-	}
-	addr, err := rw.Rewrite()
-	return addr, rw.Stats, err
-}
-
-// compileTier1 is the baseline tier: DBrew's specialization installed as
-// is. Its output folds the fixed ranges, so Manager.Invalidate deoptimizes
-// it like tier 2. A fallback to the original code is no promotion at all,
-// so it is reported as a failed compile.
-func (ts *tierSpec) compileTier1(mem *emu.Memory, tr *trace.Trace) (tier.CompileResult, error) {
-	addr, st, err := ts.specialize(mem, tr)
-	if err == nil && st.Failed {
-		err = st.Err
-	}
-	if err != nil {
-		return tier.CompileResult{}, fmt.Errorf("tier1 dbrew: %w", err)
-	}
-	return tier.CompileResult{Entry: addr, CodeSize: st.CodeSize}, nil
-}
-
-// compileTier2 is the optimizing tier: the paper's full pipeline — DBrew
-// specialization, lift, O3, JIT. A failed DBrew specialization falls back
-// to lifting the original code, so the tier still delivers an
-// O3-optimized (if unspecialized) function.
-func (ts *tierSpec) compileTier2(mem *emu.Memory, tr *trace.Trace) (tier.CompileResult, error) {
-	addr, st, err := ts.specialize(mem, tr)
-	if err != nil || st.Failed {
-		addr = ts.entry // fall back to optimizing the original code
-	}
-	lo := lift.DefaultOptions()
-	lo.Trace = tr
-	l := lift.New(mem, lo)
-	f, err := l.LiftFunc(addr, ts.name+".t2", ts.sig)
-	if err != nil {
-		return tier.CompileResult{}, fmt.Errorf("tier2 lift: %w", err)
-	}
-	cfg := opt.O3()
-	cfg.FastMath = ts.fastMath
-	cfg.ForceVectorWidth = ts.fvw
-	cfg.Trace = tr
-	opt.Optimize(f, cfg)
-	comp := jit.NewCompiler(mem)
-	comp.NamePrefix = "t2."
-	comp.Trace = tr
-	jaddr, err := comp.CompileModule(l.Module, f.Nam)
-	if err != nil {
-		return tier.CompileResult{}, fmt.Errorf("tier2 jit: %w", err)
-	}
-	return tier.CompileResult{Entry: jaddr, CodeSize: comp.Sizes[jaddr]}, nil
 }

@@ -371,3 +371,43 @@ func TestTieredTier1IsDBrew(t *testing.T) {
 		t.Logf("tier 1 / tier 0 geomean = %.3f", g)
 	}
 }
+
+// TestTieredPromotionsCountCompiles pins Engine.CompileCount's contract for
+// tiering: each promotion that compiles is one pipeline execution, so a
+// handle promoted to tier 2 adds exactly 2, and a second handle over the
+// same configuration, whose promotions hit the manager's compile cache,
+// adds 0.
+func TestTieredPromotionsCountCompiles(t *testing.T) {
+	e := NewEngine()
+	e.EnableTiering(TierConfig{Tier1Calls: 2, Tier2Calls: 4, Synchronous: true})
+	buf := e.Alloc(8, "coeff")
+	if err := e.Mem.WriteU(buf, 8, 1000); err != nil {
+		t.Fatal(err)
+	}
+	fn := buildAddC(t, e)
+	promote := func(name string) {
+		t.Helper()
+		r := NewRewriter(e, fn, Sig(Int, Ptr, Int))
+		r.SetParPtr(0, buf, 8)
+		h, err := r.Tiered(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 6; i++ {
+			if got, err := h.Call([]uint64{0, i}, nil); err != nil || got != 1000+i {
+				t.Fatalf("call %d at %v: got %d, %v; want %d", i, h.Level(), got, err, 1000+i)
+			}
+		}
+		if h.Level() != Tier2 {
+			t.Fatalf("level = %v, want tier2", h.Level())
+		}
+	}
+	promote("addc")
+	if n := e.CompileCount(); n != 2 {
+		t.Fatalf("CompileCount after promotion to tier 2 = %d, want 2", n)
+	}
+	promote("addc.again")
+	if n := e.CompileCount(); n != 2 {
+		t.Fatalf("CompileCount after cache-hit promotions = %d, want 2", n)
+	}
+}
