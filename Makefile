@@ -27,10 +27,12 @@ race:
 race-tiering:
 	$(GO) test -race -count=1 ./internal/tier/...
 
-# dbrewd end-to-end suite (coalescing, admission control, shutdown drain)
-# plus the cache singleflight races, re-run fresh under the race detector.
+# dbrewd end-to-end suite (coalescing, admission control, shutdown drain),
+# the cache singleflight races, and the engine's parallel-compile battery,
+# re-run fresh under the race detector.
 race-service:
 	$(GO) test -race -count=1 ./internal/service/... ./internal/codecache/...
+	$(GO) test -race -count=1 -run 'Concurrent|Parallel' .
 
 # Fastpath baseline backend: the package suite plus the pinned copy-shortcut
 # seeds, and dbrewd's deadline strategy (which shares the name), fresh under

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/abi"
@@ -75,13 +74,6 @@ type Engine struct {
 	// not race with in-flight Rewrite calls.
 	cache *codecache.Cache[cachedCode]
 
-	// compileMu serializes actual compilations. The emulated address space
-	// (Mem) is not safe for concurrent mutation — Alloc appends regions —
-	// so concurrent Rewrite calls may only run one compile at a time. Cache
-	// hits bypass this lock entirely, which is what makes the warm path
-	// scale across goroutines.
-	compileMu sync.Mutex
-
 	// disk, when non-nil, is the persistent second cache level installed by
 	// EnableDiskCache (see persist.go). It sits behind the in-memory cache:
 	// misses consult it before compiling, compiles write through to it.
@@ -116,10 +108,6 @@ type cachedCode struct {
 	addr     uint64
 	codeSize int
 	stats    dbrew.Stats
-	// ir is the formatted IR of the compiled function, captured only while
-	// the disk cache is enabled (it is part of the persisted artifact).
-	// Empty for the DBrew backend and for adopted artifacts without IR.
-	ir string
 }
 
 // NewEngine creates an empty engine.
@@ -446,9 +434,6 @@ type Rewriter struct {
 	// "compile" (the pipeline actually ran).
 	Source string
 
-	// lastIR holds the formatted IR captured by the last compile while the
-	// disk cache is enabled; it rides into the persisted artifact.
-	lastIR string
 	// diskHit records that the last miss closure was satisfied from disk.
 	diskHit bool
 }
@@ -493,18 +478,19 @@ func (r *Rewriter) SetConfig(c dbrew.Config) { r.rw.SetConfig(c) }
 // bytes inside a SetMem range therefore changes the key and forces a fresh
 // compile — cached code can never go stale. Concurrent Rewrite calls are
 // safe as long as each goroutine uses its own Rewriter; same-key calls
-// compile exactly once.
+// compile exactly once, and distinct keys compile in parallel.
 func (r *Rewriter) Rewrite() (uint64, error) {
 	return r.RewriteCtx(context.Background())
 }
 
-// RewriteCtx is Rewrite with a deadline: a call that would block — waiting
-// on another goroutine's in-flight compilation of the same key, or queued
-// behind the engine's compile lock — gives up when ctx is done and returns
-// ctx.Err(). A compilation that has already started is never aborted
-// mid-way (partial code generation would corrupt nothing, but the work is
-// not abandonable); the in-flight result still lands in the cache for the
-// next caller. This is the entry point dbrewd's per-request deadlines use.
+// RewriteCtx is Rewrite with a deadline: a call that would block waiting
+// on another goroutine's in-flight compilation of the same key gives up when
+// ctx is done and returns ctx.Err(), and a miss whose ctx is already done
+// does not start compiling. Compilations of distinct keys never wait on one
+// another: each allocates its own code regions and writes only into them.
+// A compilation that has already started is never aborted mid-way; the
+// in-flight result still lands in the cache for the next caller. This is
+// the entry point dbrewd's per-request deadlines use.
 func (r *Rewriter) RewriteCtx(ctx context.Context) (uint64, error) {
 	r.CacheHit = false
 	r.Source = "compile"
@@ -523,21 +509,20 @@ func (r *Rewriter) RewriteCtx(ctx context.Context) (uint64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		return r.compile(tr)
+		addr, _, err := r.compile(tr)
+		return addr, err
 	}
 	key, ok := r.cacheKey()
 	if !ok {
 		// A fixed range points at unmapped memory; let the uncached path
 		// surface whatever the rewriter does with it.
-		return r.compile(tr)
+		addr, _, err := r.compile(tr)
+		return addr, err
 	}
 	csp := tr.Start("cache")
 	v, hit, err := cache.DoCtx(ctx, key, func() (cachedCode, error) {
-		r.eng.compileMu.Lock()
-		defer r.eng.compileMu.Unlock()
 		if err := ctx.Err(); err != nil {
-			// The deadline passed while queued behind another compile;
-			// don't start work nobody is waiting for.
+			// Don't start work nobody is waiting for.
 			return cachedCode{}, err
 		}
 		// Second level: a persisted artifact for this key skips the
@@ -546,12 +531,12 @@ func (r *Rewriter) RewriteCtx(ctx context.Context) (uint64, error) {
 			r.diskHit = true
 			return cc, nil
 		}
-		addr, err := r.compile(tr)
+		addr, irText, err := r.compile(tr)
 		if err != nil {
 			return cachedCode{}, err
 		}
-		cc := cachedCode{addr: addr, codeSize: r.CodeSize, stats: r.Stats, ir: r.lastIR}
-		r.eng.diskWrite(key, cc, tr)
+		cc := cachedCode{addr: addr, codeSize: r.CodeSize, stats: r.Stats}
+		r.eng.diskWrite(key, cc, irText, tr)
 		return cc, nil
 	})
 	if err != nil {
@@ -640,31 +625,32 @@ func (r *Rewriter) cacheKey() (codecache.Key, bool) {
 // optimize over its output. Stage failures fall back to the best earlier
 // result (DBrew's default error handling) unless Strict is set, in which
 // case they surface as *StageError. tr (which may be nil) receives one span
-// per executed stage.
-func (r *Rewriter) compile(tr *trace.Trace) (uint64, error) {
-	addr, err := r.specialize(tr)
+// per executed stage. irText is the optimized IR that optimize formatted for
+// the disk store, empty when no IR-level code was installed.
+func (r *Rewriter) compile(tr *trace.Trace) (addr uint64, irText string, err error) {
+	addr, err = r.specialize(tr)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	if r.Stats.Failed && r.Strict {
 		cause := r.Stats.Err
 		if cause == nil {
 			cause = errors.New("dbrew fell back to the original function")
 		}
-		return 0, &StageError{Stage: StageRewrite, Err: cause}
+		return 0, "", &StageError{Stage: StageRewrite, Err: cause}
 	}
 	if r.backend == BackendDBrew || r.Stats.Failed {
-		return addr, nil
+		return addr, "", nil
 	}
-	jaddr, err := r.optimize(addr, tr)
+	jaddr, irText, err := r.optimize(addr, tr)
 	if err != nil {
 		if r.Strict {
-			return 0, err
+			return 0, "", err
 		}
 		// A lift or JIT failure falls back to the DBrew output.
-		return addr, nil
+		return addr, "", nil
 	}
-	return jaddr, nil
+	return jaddr, irText, nil
 }
 
 // specialize is the pipeline's first stage, DBrew's binary rewriting: it
@@ -672,7 +658,6 @@ func (r *Rewriter) compile(tr *trace.Trace) (uint64, error) {
 // returns the original entry with Stats.Failed set.
 func (r *Rewriter) specialize(tr *trace.Trace) (uint64, error) {
 	r.eng.compiles.Add(1)
-	r.lastIR = ""
 	r.rw.Trace = tr
 	addr, err := r.rw.Rewrite()
 	r.Stats = r.rw.Stats
@@ -685,39 +670,41 @@ func (r *Rewriter) specialize(tr *trace.Trace) (uint64, error) {
 
 // optimize is the pipeline's second stage: lift the code at addr, run
 // opt.O3 over it and JIT-compile the result, setting CodeSize on success.
-// Failures are *StageError values; under Strict the IR verifier runs
-// between optimization and JIT.
-func (r *Rewriter) optimize(addr uint64, tr *trace.Trace) (uint64, error) {
+// While the disk store is enabled it also returns the optimized IR as text,
+// for the persisted artifact. Failures are *StageError values; under Strict
+// the IR verifier runs between optimization and JIT.
+func (r *Rewriter) optimize(addr uint64, tr *trace.Trace) (uint64, string, error) {
 	lo := lift.DefaultOptions()
 	lo.Trace = tr
 	l := lift.New(r.eng.Mem, lo)
 	f, err := l.LiftFunc(addr, "rewritten", r.sig)
 	if err != nil {
-		return 0, &StageError{Stage: StageLift, Err: err}
+		return 0, "", &StageError{Stage: StageLift, Err: err}
 	}
 	cfg := opt.O3()
 	cfg.FastMath = r.FastMath
 	cfg.ForceVectorWidth = r.ForceVectorWidth
 	cfg.Trace = tr
 	opt.Optimize(f, cfg)
+	var irText string
 	if r.eng.disk != nil {
 		// The persisted artifact carries the optimized IR for debuggability;
 		// only pay the formatting cost when something will store it.
-		r.lastIR = ir.FormatFunc(f)
+		irText = ir.FormatFunc(f)
 	}
 	if r.Strict {
 		if err := ir.Verify(f); err != nil {
-			return 0, &StageError{Stage: StageOptimize, Err: err}
+			return 0, "", &StageError{Stage: StageOptimize, Err: err}
 		}
 	}
 	comp := jit.NewCompiler(r.eng.Mem)
 	comp.Trace = tr
 	jaddr, err := comp.CompileModule(l.Module, f.Nam)
 	if err != nil {
-		return 0, &StageError{Stage: StageJIT, Err: err}
+		return 0, "", &StageError{Stage: StageJIT, Err: err}
 	}
 	r.CodeSize = comp.Sizes[jaddr]
-	return jaddr, nil
+	return jaddr, irText, nil
 }
 
 // LiftResult carries a lifted function and its module for inspection or

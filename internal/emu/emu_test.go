@@ -306,6 +306,64 @@ func TestMemoryRegions(t *testing.T) {
 	}
 }
 
+// TestMemoryMapBelowBrkKeepsRegionsSorted interleaves Alloc with Maps that
+// land below the allocator's break — descending fixed addresses under the
+// base and slots inside the allocations' red zones — so every insert goes
+// somewhere other than the end. The published set must stay sorted and
+// disjoint, every region must stay findable, and overlaps from either side
+// must still be refused.
+func TestMemoryMapBelowBrkKeepsRegionsSorted(t *testing.T) {
+	mem := NewMemory(0x100000)
+	for i := 0; i < 64; i++ {
+		a := mem.Alloc(40, 16, "alloc")
+		if _, err := mem.Map(a.End()+16, 16, "redzone"); err != nil {
+			t.Fatalf("step %d: map in the red zone: %v", i, err)
+		}
+		low, err := mem.Map(0x80000-uint64(i)*0x100, 0x80, "low")
+		if err != nil {
+			t.Fatalf("step %d: map below the base: %v", i, err)
+		}
+		if _, err := mem.Map(low.Start-0x10, 0x20, "left"); err == nil {
+			t.Fatalf("step %d: a map overlapping %#x from the left succeeded", i, low.Start)
+		}
+		if _, err := mem.Map(low.End()-0x10, 0x20, "right"); err == nil {
+			t.Fatalf("step %d: a map overlapping %#x from the right succeeded", i, low.Start)
+		}
+		if _, err := mem.Map(a.Start+8, 4, "inside"); err == nil {
+			t.Fatalf("step %d: a map inside %#x succeeded", i, a.Start)
+		}
+	}
+	// An empty region sharing its start with a mapped one sorts after it; a
+	// map into the mapped one's middle must still be refused.
+	if _, err := mem.Map(0x80000, 0, "empty"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Map(0x80040, 8, "middle"); err == nil {
+		t.Fatal("a map behind an empty region into a mapped one succeeded")
+	}
+
+	regions := mem.Regions()
+	if len(regions) != 3*64+1 {
+		t.Fatalf("%d regions, want %d", len(regions), 3*64+1)
+	}
+	var end uint64 // end of the last non-empty region
+	for i, r := range regions {
+		if i > 0 && r.Start < regions[i-1].Start {
+			t.Fatalf("region %d at %#x sorts after region %d at %#x", i, r.Start, i-1, regions[i-1].Start)
+		}
+		if len(r.Data) == 0 {
+			continue
+		}
+		if r.Start < end {
+			t.Fatalf("region %d [%#x,%#x) overlaps its predecessor", i, r.Start, r.End())
+		}
+		end = r.End()
+		if mem.FindRegion(r.Start, len(r.Data)) != r {
+			t.Fatalf("region %q at %#x not found", r.Name, r.Start)
+		}
+	}
+}
+
 func TestCallAndRet(t *testing.T) {
 	// Outer function calls a helper: f(x) = g(x) + 1 where g(x) = x*2.
 	m, entry := buildAndLoad(t, func(b *asm.Builder) {

@@ -61,14 +61,15 @@ func (r *Region) WatchWord() *uint32 { return (*uint32)(unsafe.Pointer(&r.watch)
 // Lookups cache the last region hit, which makes the common
 // one-region-dominates workloads fast.
 //
-// The region *set* is copy-on-write: Map/Alloc build a new sorted slice
-// under a mutex and publish it atomically, and lookups read the published
-// slice without locking. This keeps the emulator's per-instruction lookup
-// path lock-free while letting the rewriter hash fixed memory ranges (for
-// specialization cache keys) concurrently with compiles that allocate code
-// pages. Region contents are not synchronized — concurrent accessors must
-// touch disjoint regions, which the engine guarantees by serializing
-// compiles (writers) and only reading already-published data elsewhere.
+// The region *set* is copy-on-write: Map/Alloc insert into a new sorted
+// slice under a mutex and publish it atomically, and lookups read the
+// published slice without locking. This keeps the emulator's
+// per-instruction lookup path lock-free while compiles allocate code pages
+// in parallel with one another and with the hashing of fixed memory ranges
+// (for specialization cache keys). Region contents are not synchronized;
+// the engine keeps concurrent accessors apart instead: a compile writes only
+// into regions it allocated itself, and it hands out their addresses only
+// after it has written them, so everyone else reads finished data.
 type Memory struct {
 	mapMu   sync.Mutex                // serializes Map/Alloc and guards brk
 	regions atomic.Pointer[[]*Region] // sorted by Start; slice is immutable once published
@@ -109,15 +110,34 @@ func (m *Memory) Map(start uint64, size int, name string) (*Region, error) {
 func (m *Memory) mapLocked(start uint64, size int, name string) (*Region, error) {
 	r := &Region{Start: start, Data: make([]byte, size), Name: name}
 	old := m.loadRegions()
-	for _, o := range old {
+	// r goes after every region starting at or below it. Only its neighbours
+	// can overlap it: the first region to its right, and the regions to its
+	// left back to the first non-empty one that starts below it (the set is
+	// disjoint, so nothing further left reaches r).
+	i := sort.Search(len(old), func(i int) bool { return old[i].Start > r.Start })
+	overlap := func(o *Region) error {
 		if r.Start < o.End() && o.Start < r.End() {
-			return nil, fmt.Errorf("emu: mapping %q [%#x,%#x) overlaps %q", name, r.Start, r.End(), o.Name)
+			return fmt.Errorf("emu: mapping %q [%#x,%#x) overlaps %q", name, r.Start, r.End(), o.Name)
+		}
+		return nil
+	}
+	if i < len(old) {
+		if err := overlap(old[i]); err != nil {
+			return nil, err
+		}
+	}
+	for j := i - 1; j >= 0; j-- {
+		if err := overlap(old[j]); err != nil {
+			return nil, err
+		}
+		if old[j].Start < r.Start && len(old[j].Data) > 0 {
+			break
 		}
 	}
 	next := make([]*Region, len(old)+1)
-	copy(next, old)
-	next[len(old)] = r
-	sort.Slice(next, func(i, j int) bool { return next[i].Start < next[j].Start })
+	copy(next, old[:i])
+	next[i] = r
+	copy(next[i+1:], old[i:])
 	m.regions.Store(&next)
 	if r.End() > m.brk {
 		m.brk = r.End()

@@ -299,6 +299,9 @@ type Func struct {
 	Addr uint64
 	// nextID names fresh values and blocks.
 	nextID int
+	// nextSuffix numbers the names passes derive for values they create
+	// (see UniqueSuffix).
+	nextSuffix int
 }
 
 // NewFunc creates an empty function.
@@ -341,6 +344,16 @@ func (f *Func) freshName() string {
 	n := fmt.Sprintf("v%d", f.nextID)
 	f.nextID++
 	return n
+}
+
+// UniqueSuffix returns a number f has not handed out before, for passes
+// that name the values they create (mem2reg phis, inlined copies). It counts
+// apart from the v%d/bb%d numbering, so those names never shift it, and it
+// belongs to f, so a function's IR text does not depend on what else the
+// process optimized before it.
+func (f *Func) UniqueSuffix() int {
+	f.nextSuffix++
+	return f.nextSuffix
 }
 
 // Preds returns the predecessors of each block.

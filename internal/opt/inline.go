@@ -120,7 +120,7 @@ func inlineCall(f *ir.Func, call *ir.Inst) {
 			cp.Incoming = nil
 			cp.Blocks = nil
 			if cp.Nam != "" {
-				cp.Nam = "inl." + cp.Nam + "." + itoa(phiCounterNext())
+				cp.Nam = "inl." + cp.Nam + "." + itoa(f.UniqueSuffix())
 			}
 			imap[in] = &cp
 			nb.Insts = append(nb.Insts, &cp)
@@ -169,7 +169,7 @@ func inlineCall(f *ir.Func, call *ir.Inst) {
 	case len(retVals) == 1:
 		result = retVals[0]
 	case len(retVals) > 1:
-		phi := &ir.Inst{Op: ir.OpPhi, Ty: call.Ty, Nam: "inlret" + itoa(phiCounterNext()), Parent: cont}
+		phi := &ir.Inst{Op: ir.OpPhi, Ty: call.Ty, Nam: "inlret" + itoa(f.UniqueSuffix()), Parent: cont}
 		for i, rv := range retVals {
 			ir.AddIncoming(phi, rv, retBlocks[i])
 		}
@@ -186,11 +186,4 @@ func inlineCall(f *ir.Func, call *ir.Inst) {
 	if result != nil {
 		replaceAll(f, map[ir.Value]ir.Value{call: result})
 	}
-}
-
-var inlineCounter int
-
-func phiCounterNext() int {
-	inlineCounter++
-	return inlineCounter
 }

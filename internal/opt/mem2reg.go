@@ -223,11 +223,8 @@ func promoteSlot(f *ir.Func, uses []allocaUse, off int64) int {
 	return count
 }
 
-var phiCounter int
-
 func freshPhiName(f *ir.Func) string {
-	phiCounter++
-	return "m2r" + itoa(phiCounter)
+	return "m2r" + itoa(f.UniqueSuffix())
 }
 
 func itoa(n int) string {

@@ -22,9 +22,8 @@ import (
 
 // Config tunes the daemon; zero fields select the documented defaults.
 type Config struct {
-	// Workers bounds concurrent compile slots (default 4). Compilations
-	// additionally serialize on the engine's compile lock, so Workers
-	// bounds admission, not parallelism.
+	// Workers bounds concurrent compile slots (default 4), and with them
+	// the number of compiles that run in parallel.
 	Workers int
 	// QueueDepth bounds requests waiting for a compile slot; a request
 	// arriving with the queue full is rejected with 429 (default 64).

@@ -182,8 +182,8 @@ type Metrics struct {
 	BadRequests int64 `json:"bad_requests"`
 	// RejectedOverload counts 429 responses (admission queue full).
 	RejectedOverload int64 `json:"rejected_overload"`
-	// DeadlineExceeded counts 504 responses (deadline passed while queued,
-	// coalesced, or waiting on the compile lock).
+	// DeadlineExceeded counts 504 responses (deadline passed while queued
+	// for a compile slot or coalesced onto another request's compile).
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	// Errors counts 5xx responses other than 504.
 	Errors int64 `json:"errors"`

@@ -50,8 +50,8 @@ type CompileResult struct {
 // CompileFunc produces code for one target level. It runs on a background
 // goroutine (or the calling goroutine under Config.Synchronous) and must be
 // safe to run concurrently with calls executing the function's current
-// tier; compilations for the same manager never run concurrently with each
-// other when they share a specialization key.
+// tier, and with compilations for other levels and other functions;
+// compilations that share a specialization key never run concurrently.
 type CompileFunc func(target Level) (CompileResult, error)
 
 // FixedArg pins one integer/pointer argument to a known value. The

@@ -188,9 +188,9 @@ func (e *Engine) RemoveSpecialization(k codecache.Key) bool {
 	return e.cache.Remove(k)
 }
 
-// diskLookup consults the disk store for key inside the compile path
-// (caller holds compileMu): a valid artifact is placed into the address
-// space and returned as restored cachedCode. tr may be nil.
+// diskLookup consults the disk store for key inside a cache miss: a valid
+// artifact is placed into a fresh region of the address space and returned
+// as restored cachedCode. tr may be nil.
 func (e *Engine) diskLookup(key codecache.Key, tr *trace.Trace) (cachedCode, bool) {
 	d := e.disk
 	if d == nil {
@@ -212,13 +212,14 @@ func (e *Engine) diskLookup(key codecache.Key, tr *trace.Trace) (cachedCode, boo
 	}
 	addr := e.PlaceCode(a.Code, "diskcache.artifact")
 	sp.Int("code_bytes", int64(len(a.Code))).Outcome("hit").End()
-	return cachedCode{addr: addr, codeSize: len(a.Code), stats: stats, ir: a.IR}, true
+	return cachedCode{addr: addr, codeSize: len(a.Code), stats: stats}, true
 }
 
-// diskWrite persists a freshly compiled specialization (write-through).
-// Failures are recorded in the trace but otherwise ignored: the disk level
-// is an optimization, never a correctness dependency.
-func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, tr *trace.Trace) {
+// diskWrite persists a freshly compiled specialization (write-through),
+// together with the optimized IR text the compile formatted for it. Failures
+// are recorded in the trace but otherwise ignored: the disk level is an
+// optimization, never a correctness dependency.
+func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, irText string, tr *trace.Trace) {
 	d := e.disk
 	if d == nil {
 		return
@@ -227,7 +228,7 @@ func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, tr *trace.Trace) {
 	if err != nil {
 		return
 	}
-	a := &diskcache.Artifact{Code: code, IR: cc.ir, Meta: metaFromStats(cc.stats, cc.codeSize)}
+	a := &diskcache.Artifact{Code: code, IR: irText, Meta: metaFromStats(cc.stats, cc.codeSize)}
 	sp := tr.Start("disk_write").Int("code_bytes", int64(len(code)))
 	if err := d.Put(key, a); err != nil {
 		sp.EndErr(err)
@@ -236,34 +237,35 @@ func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, tr *trace.Trace) {
 	sp.End()
 }
 
-// ArtifactFor assembles the persisted-artifact form of the specialization k
-// from the warmest level that has it: the in-memory cache (code bytes read
-// back from the address space), then the disk store. When wait is true and
-// a compilation for k is in flight, it blocks (bounded by ctx) and returns
-// that compilation's result. It reports ErrArtifactNotFound when no level
-// has the key — it never starts a compilation. This is the read side of
-// the fleet protocol: GET /artifact/{key} serves exactly this.
+// ArtifactFor assembles the persisted-artifact form of the specialization k:
+// from the disk store, which alone keeps the optimized IR text, else from
+// the in-memory cache (code bytes read back from the address space, no IR).
+// When wait is true and a compilation for k is in flight, it blocks
+// (bounded by ctx) and returns that compilation's result. It reports
+// ErrArtifactNotFound when no level has the key — it never starts a
+// compilation. This is the read side of the fleet protocol:
+// GET /artifact/{key} serves exactly this.
 func (e *Engine) ArtifactFor(ctx context.Context, k codecache.Key, wait bool) (*diskcache.Artifact, error) {
-	if c := e.cache; c != nil {
-		if cc, ok := c.Get(k); ok {
-			return e.artifactFromCached(cc)
-		}
-	}
 	if d := e.disk; d != nil {
 		if a, ok := d.Get(k); ok {
 			return a, nil
 		}
 	}
-	if wait && e.cache != nil {
-		cc, ok, err := e.cache.Wait(ctx, k)
-		if err != nil {
+	c := e.cache
+	if c == nil {
+		return nil, ErrArtifactNotFound
+	}
+	cc, ok := c.Get(k)
+	if !ok && wait {
+		var err error
+		if cc, ok, err = c.Wait(ctx, k); err != nil {
 			return nil, err
 		}
-		if ok {
-			return e.artifactFromCached(cc)
-		}
 	}
-	return nil, ErrArtifactNotFound
+	if !ok {
+		return nil, ErrArtifactNotFound
+	}
+	return e.artifactFromCached(cc)
 }
 
 func (e *Engine) artifactFromCached(cc cachedCode) (*diskcache.Artifact, error) {
@@ -271,7 +273,7 @@ func (e *Engine) artifactFromCached(cc cachedCode) (*diskcache.Artifact, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dbrewllvm: reading cached code: %w", err)
 	}
-	return &diskcache.Artifact{Code: code, IR: cc.ir, Meta: metaFromStats(cc.stats, cc.codeSize)}, nil
+	return &diskcache.Artifact{Code: code, Meta: metaFromStats(cc.stats, cc.codeSize)}, nil
 }
 
 // AdoptArtifact installs an externally produced artifact (a peer fetch, or
@@ -287,12 +289,8 @@ func (e *Engine) AdoptArtifact(k codecache.Key, a *diskcache.Artifact) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	// Placement appends to the shared address space; serialize with
-	// compiles exactly like the Rewrite paths.
-	e.compileMu.Lock()
 	addr := e.PlaceCode(a.Code, "cluster.artifact")
-	e.compileMu.Unlock()
-	cc := cachedCode{addr: addr, codeSize: len(a.Code), stats: stats, ir: a.IR}
+	cc := cachedCode{addr: addr, codeSize: len(a.Code), stats: stats}
 	if c := e.cache; c != nil {
 		c.Add(k, cc)
 	}

@@ -16,6 +16,7 @@ package dbrewllvm
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/tier"
 	"repro/internal/trace"
@@ -146,16 +147,17 @@ func (r *Rewriter) Tiered(name string) (*TieredFunc, error) {
 		tranges[i] = tier.Range{Start: rg.Start, End: rg.End}
 	}
 
+	// The tier-1 and tier-2 promotions of this handle may be in flight at
+	// once, and both write p's output fields (Stats, CodeSize), so they take
+	// turns. Promotions of other handles and one-shot Rewrites run in
+	// parallel with them.
+	var mu sync.Mutex
 	compile := func(target TierLevel) (tier.CompileResult, error) {
 		if target != Tier1 && target != Tier2 {
 			return tier.CompileResult{}, fmt.Errorf("dbrewllvm: no compiler for %v", target)
 		}
-		// Compilations mutate the shared address space (they allocate code
-		// pages); serialize them against one another and against cached
-		// Rewrite compiles, exactly like the one-shot path. The lock also
-		// makes p's output fields safe to reuse across promotions.
-		eng.compileMu.Lock()
-		defer eng.compileMu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
 		var tr *trace.Trace
 		if eng.traceOn.Load() {
 			tr = trace.New(fmt.Sprintf("tier%d.promote", int(target)))
@@ -178,7 +180,7 @@ func (r *Rewriter) Tiered(name string) (*TieredFunc, error) {
 			if err != nil || p.Stats.Failed {
 				addr = p.entry // fall back to optimizing the original code
 			}
-			if addr, err = p.optimize(addr, tr); err != nil {
+			if addr, _, err = p.optimize(addr, tr); err != nil {
 				return tier.CompileResult{}, fmt.Errorf("tier2: %w", err)
 			}
 		}
