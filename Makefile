@@ -93,8 +93,11 @@ smoke:
 	$(GO) run ./cmd/dbrewd -smoke
 
 # Coverage gate: the observability and differential-testing packages must
-# each stay at >= 70% statement coverage.
+# each stay at >= 70% statement coverage. The lifter is gated too, counting
+# the statements of ./internal/lift that its own tests, the differential
+# harness and the kernel IR goldens reach together.
 COVER_PKGS = ./internal/trace ./internal/crosstest ./internal/opt
+LIFT_COVER_TESTS = ./internal/lift ./internal/crosstest ./internal/stencil
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		out=$$($(GO) test -cover $$pkg | tail -1); echo "$$out"; \
@@ -104,6 +107,14 @@ cover:
 		if [ "$$ok" != 1 ]; then \
 			echo "coverage for $$pkg is $$pct%, below the 70% gate"; exit 1; fi; \
 	done
+	@prof=$$(mktemp); trap 'rm -f "$$prof"' EXIT; \
+	$(GO) test -coverpkg=./internal/lift -coverprofile="$$prof" $(LIFT_COVER_TESTS) >/dev/null || exit 1; \
+	pct=$$($(GO) tool cover -func="$$prof" | sed -n 's/^total:.*[[:space:]]\([0-9.]*\)%$$/\1/p'); \
+	echo "./internal/lift (with $(LIFT_COVER_TESTS)) coverage: $$pct%"; \
+	if [ -z "$$pct" ]; then echo "no coverage reported for ./internal/lift"; exit 1; fi; \
+	ok=$$(awk -v p="$$pct" 'BEGIN { print (p >= 70.0) ? 1 : 0 }'); \
+	if [ "$$ok" != 1 ]; then \
+		echo "coverage for ./internal/lift is $$pct%, below the 70% gate"; exit 1; fi
 
 # Short live fuzz of the differential harness on top of the pinned corpus.
 fuzz-smoke:

@@ -115,12 +115,34 @@ type flagCache struct {
 
 // state is the per-basic-block register mapping from architectural state to
 // SSA values, as described in Section III.C.
+//
+// The values a block inherits from its predecessors are merged through entry
+// phis, created on demand as in Braun et al.'s SSA construction (CC 2013):
+// a block starts with every register and flag pending, that is, at its entry
+// phi but with no phi built yet. The first read of a pending register builds
+// its phis; a write of the whole register only ends the pending state. All
+// access to gpr, xmm and flag goes through the accessors below so that no
+// read sees a pending register's empty map.
 type state struct {
 	gpr  [16]map[Facet]ir.Value
 	xmm  [16]map[Facet]ir.Value
 	flag [numFlags]ir.Value
 	fc   flagCache
+	// pending has bit g set while entry group g (see groupGPR) still holds
+	// its block-entry value and has no phi. Only machine block states have
+	// pending groups; blk receives the phis they create.
+	pending uint64
+	blk     *blockLift
 }
+
+// Entry groups are the units entry phis are created in: group r < 16 is
+// GPR r, groupXMM+r is XMM register r and groupFlag+i is flag i.
+const (
+	groupGPR  = 0
+	groupXMM  = 16
+	groupFlag = 32
+	numGroups = groupFlag + numFlags
+)
 
 func newState() *state {
 	s := &state{}
@@ -131,14 +153,105 @@ func newState() *state {
 	return s
 }
 
+// newBlockState returns the state at the head of a machine block: every
+// group pending.
+func newBlockState(bl *blockLift) *state {
+	s := newState()
+	s.pending = 1<<numGroups - 1
+	s.blk = bl
+	return s
+}
+
+// enter creates the entry phis of group g: both GPR facets, all three XMM
+// facets, or the one flag. Every facet of a register gets its phi so that
+// readGPRFacet and readXMMFacet find the same facets they would if all
+// phis existed from the start.
+func (s *state) enter(g int) {
+	s.pending &^= 1 << uint(g)
+	bl := s.blk
+	bl.entered |= 1 << uint(g)
+	switch {
+	case g < groupXMM:
+		r := g - groupGPR
+		for k, fc := range gprPhiFacets {
+			name := fmt.Sprintf("%s.%s.%x", x86.Reg(r).Name(8), fc, bl.mb.start)
+			s.gpr[r][fc] = bl.newPhi(r*slotsPerReg+k, fc.Type(), name)
+		}
+	case g < groupFlag:
+		r := g - groupXMM
+		for k, fc := range xmmPhiFacets {
+			name := fmt.Sprintf("xmm%d.%s.%x", r, fc, bl.mb.start)
+			s.xmm[r][fc] = bl.newPhi(r*slotsPerReg+len(gprPhiFacets)+k, fc.Type(), name)
+		}
+	default:
+		i := g - groupFlag
+		name := fmt.Sprintf("%s.%x", flagNames[i], bl.mb.start)
+		s.flag[i] = bl.newPhi(flagSlot+i, ir.I1, name)
+	}
+}
+
+// gprFacets returns the facet map of a GPR for reading, creating its entry
+// phis if it is pending.
+func (s *state) gprFacets(r x86.Reg) map[Facet]ir.Value {
+	if s.pending&(1<<uint(groupGPR+r)) != 0 {
+		s.enter(groupGPR + int(r))
+	}
+	return s.gpr[r]
+}
+
+// defGPR returns the emptied facet map of a GPR whose whole value is about
+// to be replaced.
+func (s *state) defGPR(r x86.Reg) map[Facet]ir.Value {
+	s.pending &^= 1 << uint(groupGPR+r)
+	m := s.gpr[r]
+	clearFacets(m)
+	return m
+}
+
+// xmmFacets returns the facet map of SSE register x (0-15) for reading,
+// creating its entry phis if it is pending.
+func (s *state) xmmFacets(x int) map[Facet]ir.Value {
+	if s.pending&(1<<uint(groupXMM+x)) != 0 {
+		s.enter(groupXMM + x)
+	}
+	return s.xmm[x]
+}
+
+// defXMM returns the emptied facet map of SSE register x (0-15) whose whole
+// value is about to be replaced.
+func (s *state) defXMM(x int) map[Facet]ir.Value {
+	s.pending &^= 1 << uint(groupXMM+x)
+	m := s.xmm[x]
+	clearFacets(m)
+	return m
+}
+
+// readFlag returns a flag value, creating its entry phi if it is pending;
+// a flag no instruction defined reads as undef.
+func (s *state) readFlag(i int) ir.Value {
+	if s.pending&(1<<uint(groupFlag+i)) != 0 {
+		s.enter(groupFlag + i)
+	}
+	if s.flag[i] == nil {
+		return ir.UndefOf(ir.I1)
+	}
+	return s.flag[i]
+}
+
+// setFlag defines a flag.
+func (s *state) setFlag(i int, v ir.Value) {
+	s.pending &^= 1 << uint(groupFlag+i)
+	s.flag[i] = v
+}
+
 // killFlags invalidates the flag cache; callers must also set flag values.
 func (s *state) killFlags() { s.fc = flagCache{} }
 
 // setFlagsUndef marks all six flags undefined (after instructions whose
 // flag effects the lifter does not model precisely).
 func (s *state) setFlagsUndef() {
-	for i := range s.flag {
-		s.flag[i] = ir.UndefOf(ir.I1)
+	for i := 0; i < numFlags; i++ {
+		s.setFlag(i, ir.UndefOf(ir.I1))
 	}
 	s.killFlags()
 }
@@ -146,7 +259,7 @@ func (s *state) setFlagsUndef() {
 // readGPRFacet returns the SSA value of one facet of a GPR, deriving and
 // caching it from the canonical i64 value if necessary.
 func (l *Lifter) readGPRFacet(s *state, r x86.Reg, f Facet) ir.Value {
-	m := s.gpr[r]
+	m := s.gprFacets(r)
 	if v, ok := m[f]; ok && (l.Opts.FacetCache || f == FI64) {
 		return v
 	}
@@ -183,22 +296,21 @@ func (l *Lifter) writeGPR(s *state, r x86.Reg, size uint8, v ir.Value, ptr ir.Va
 		cleared := l.b.And(old, ir.Int(ir.I64, ^uint64(0xFF00)))
 		sh := l.b.Shl(l.b.ZExt(v, ir.I64), ir.Int(ir.I64, 8))
 		merged := l.b.Or(cleared, sh)
-		clearFacets(s.gpr[parent])
-		s.gpr[parent][FI64] = merged
-		s.gpr[parent][FI8H] = v
+		m := s.defGPR(parent)
+		m[FI64] = merged
+		m[FI8H] = v
 		return
 	}
-	m := s.gpr[r]
 	switch size {
 	case 8:
-		clearFacets(m)
+		m := s.defGPR(r)
 		m[FI64] = v
 		if ptr != nil {
 			m[FPtr] = ptr
 		}
 	case 4:
 		canon := l.b.ZExt(v, ir.I64) // 32-bit writes zero the upper half
-		clearFacets(m)
+		m := s.defGPR(r)
 		m[FI64] = canon
 		m[FI32] = v
 	case 2, 1:
@@ -211,7 +323,7 @@ func (l *Lifter) writeGPR(s *state, r x86.Reg, size uint8, v ir.Value, ptr ir.Va
 		old := l.readGPRFacet(s, r, FI64)
 		cleared := l.b.And(old, ir.Int(ir.I64, ^mask))
 		merged := l.b.Or(cleared, l.b.ZExt(v, ir.I64))
-		clearFacets(m)
+		m := s.defGPR(r)
 		m[FI64] = merged
 		m[f] = v
 	}
@@ -220,7 +332,7 @@ func (l *Lifter) writeGPR(s *state, r x86.Reg, size uint8, v ir.Value, ptr ir.Va
 // readXMMFacet returns one facet of an SSE register, deriving it through the
 // canonical i128 (or a cached vector facet) as in Figure 4b/4c.
 func (l *Lifter) readXMMFacet(s *state, r x86.Reg, f Facet) ir.Value {
-	m := s.xmm[r-x86.XMM0]
+	m := s.xmmFacets(int(r - x86.XMM0))
 	if v, ok := m[f]; ok && (l.Opts.FacetCache || f == FI128) {
 		return v
 	}
@@ -263,8 +375,7 @@ func (l *Lifter) readXMMFacet(s *state, r x86.Reg, f Facet) ir.Value {
 // writeXMM replaces the full contents of an SSE register with the given
 // facet value, updating the canonical form.
 func (l *Lifter) writeXMM(s *state, r x86.Reg, f Facet, v ir.Value) {
-	m := s.xmm[r-x86.XMM0]
-	clearFacets(m)
+	m := s.defXMM(int(r - x86.XMM0))
 	if f == FI128 {
 		m[FI128] = v
 		return
@@ -285,8 +396,7 @@ func (l *Lifter) writeXMMScalarF64(s *state, r x86.Reg, v ir.Value, preserve boo
 	} else {
 		vec = l.b.InsertElement(ir.ZeroOf(ir.VecOf(ir.Double, 2)), v, 0)
 	}
-	m := s.xmm[r-x86.XMM0]
-	clearFacets(m)
+	m := s.defXMM(int(r - x86.XMM0))
 	m[FI128] = l.b.Bitcast(vec, ir.I128)
 	if l.Opts.FacetCache {
 		m[FV2F64] = vec
@@ -302,8 +412,7 @@ func (l *Lifter) writeXMMScalarF32(s *state, r x86.Reg, v ir.Value, preserve boo
 	} else {
 		vec = l.b.InsertElement(ir.ZeroOf(ir.VecOf(ir.Float, 4)), v, 0)
 	}
-	m := s.xmm[r-x86.XMM0]
-	clearFacets(m)
+	m := s.defXMM(int(r - x86.XMM0))
 	m[FI128] = l.b.Bitcast(vec, ir.I128)
 	if l.Opts.FacetCache {
 		m[FV4F32] = vec

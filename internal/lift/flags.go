@@ -13,25 +13,25 @@ import (
 func (l *Lifter) setArithFlags(s *state, isSub bool, a, b, res ir.Value) {
 	ty := res.Type()
 	zero := ir.Int(ty, 0)
-	s.flag[fZF] = l.b.ICmp(ir.PredEQ, res, zero)
-	s.flag[fSF] = l.b.ICmp(ir.PredSLT, res, zero)
+	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
+	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
 	if isSub {
-		s.flag[fCF] = l.b.ICmp(ir.PredULT, a, b)
+		s.setFlag(fCF, l.b.ICmp(ir.PredULT, a, b))
 		// OF = (a^b) & (a^res) has the sign bit set.
 		t1 := l.b.Xor(a, b)
 		t2 := l.b.Xor(a, res)
-		s.flag[fOF] = l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero)
+		s.setFlag(fOF, l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero))
 	} else {
-		s.flag[fCF] = l.b.ICmp(ir.PredULT, res, a)
+		s.setFlag(fCF, l.b.ICmp(ir.PredULT, res, a))
 		// OF = ~(a^b) & (a^res) has the sign bit set.
 		t1 := l.b.Xor(a, res)
 		t2 := l.b.Xor(b, res)
-		s.flag[fOF] = l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero)
+		s.setFlag(fOF, l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero))
 	}
-	s.flag[fPF] = l.parityFlag(res)
+	s.setFlag(fPF, l.parityFlag(res))
 	// AF = bit 4 of a^b^res.
 	ax := l.b.Xor(l.b.Xor(a, b), res)
-	s.flag[fAF] = l.b.ICmp(ir.PredNE, l.b.And(ax, ir.Int(ty, 0x10)), zero)
+	s.setFlag(fAF, l.b.ICmp(ir.PredNE, l.b.And(ax, ir.Int(ty, 0x10)), zero))
 	// The flag cache preserves the semantics of cmp/sub for later
 	// conditions (Figure 6); other flag writers invalidate it.
 	if isSub {
@@ -48,12 +48,12 @@ func (l *Lifter) setArithFlags(s *state, isSub bool, a, b, res ir.Value) {
 func (l *Lifter) setLogicFlags(s *state, res ir.Value) {
 	ty := res.Type()
 	zero := ir.Int(ty, 0)
-	s.flag[fZF] = l.b.ICmp(ir.PredEQ, res, zero)
-	s.flag[fSF] = l.b.ICmp(ir.PredSLT, res, zero)
-	s.flag[fCF] = ir.Bool(false)
-	s.flag[fOF] = ir.Bool(false)
-	s.flag[fAF] = ir.Bool(false)
-	s.flag[fPF] = l.parityFlag(res)
+	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
+	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
+	s.setFlag(fCF, ir.Bool(false))
+	s.setFlag(fOF, ir.Bool(false))
+	s.setFlag(fAF, ir.Bool(false))
+	s.setFlag(fPF, l.parityFlag(res))
 	s.fc = flagCache{valid: true, a: res, b: zero}
 }
 
@@ -62,12 +62,12 @@ func (l *Lifter) setLogicFlags(s *state, res ir.Value) {
 func (l *Lifter) setResultFlagsOnly(s *state, res ir.Value) {
 	ty := res.Type()
 	zero := ir.Int(ty, 0)
-	s.flag[fZF] = l.b.ICmp(ir.PredEQ, res, zero)
-	s.flag[fSF] = l.b.ICmp(ir.PredSLT, res, zero)
-	s.flag[fPF] = l.parityFlag(res)
-	s.flag[fCF] = ir.UndefOf(ir.I1)
-	s.flag[fOF] = ir.UndefOf(ir.I1)
-	s.flag[fAF] = ir.UndefOf(ir.I1)
+	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
+	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
+	s.setFlag(fPF, l.parityFlag(res))
+	s.setFlag(fCF, ir.UndefOf(ir.I1))
+	s.setFlag(fOF, ir.UndefOf(ir.I1))
+	s.setFlag(fAF, ir.UndefOf(ir.I1))
 	s.fc = flagCache{}
 }
 
@@ -122,12 +122,7 @@ func (l *Lifter) cond(s *state, c x86.Cond) ir.Value {
 			return l.b.ICmp(p, s.fc.a, s.fc.b)
 		}
 	}
-	flag := func(i int) ir.Value {
-		if s.flag[i] == nil {
-			return ir.UndefOf(ir.I1)
-		}
-		return s.flag[i]
-	}
+	flag := s.readFlag
 	var v ir.Value
 	switch c &^ 1 {
 	case x86.CondO:
@@ -159,11 +154,11 @@ func (l *Lifter) setComiFlags(s *state, a, b ir.Value) {
 	uno := l.b.FCmp(ir.PredUNO, a, b)
 	oeq := l.b.FCmp(ir.PredOEQ, a, b)
 	olt := l.b.FCmp(ir.PredOLT, a, b)
-	s.flag[fZF] = l.b.Or(uno, oeq)
-	s.flag[fCF] = l.b.Or(uno, olt)
-	s.flag[fPF] = uno
-	s.flag[fOF] = ir.Bool(false)
-	s.flag[fSF] = ir.Bool(false)
-	s.flag[fAF] = ir.Bool(false)
+	s.setFlag(fZF, l.b.Or(uno, oeq))
+	s.setFlag(fCF, l.b.Or(uno, olt))
+	s.setFlag(fPF, uno)
+	s.setFlag(fOF, ir.Bool(false))
+	s.setFlag(fSF, ir.Bool(false))
+	s.setFlag(fAF, ir.Bool(false))
 	s.fc = flagCache{}
 }

@@ -97,12 +97,12 @@ func liftedFlags(t *testing.T, op x86.Inst, a, b uint64, cf0 bool) [numFlags]boo
 	bld := ir.NewBuilder(f)
 	l := &Lifter{Mem: mem, Opts: DefaultOptions(), Module: &ir.Module{}, b: bld}
 	s := newState()
-	s.gpr[x86.RAX][FI64] = ir.Int(ir.I64, a)
-	s.gpr[x86.RCX][FI64] = ir.Int(ir.I64, b)
-	for i := range s.flag {
-		s.flag[i] = ir.Bool(false)
+	s.defGPR(x86.RAX)[FI64] = ir.Int(ir.I64, a)
+	s.defGPR(x86.RCX)[FI64] = ir.Int(ir.I64, b)
+	for i := 0; i < numFlags; i++ {
+		s.setFlag(i, ir.Bool(false))
 	}
-	s.flag[fCF] = ir.Bool(cf0)
+	s.setFlag(fCF, ir.Bool(cf0))
 
 	if err := l.translate(s, &op, abi.Signature{}); err != nil {
 		t.Fatalf("translate %s: %v", op.Op, err)
@@ -110,10 +110,11 @@ func liftedFlags(t *testing.T, op x86.Inst, a, b uint64, cf0 bool) [numFlags]boo
 
 	packed := ir.Value(ir.Int(ir.I64, 0))
 	for i := 0; i < numFlags; i++ {
-		if s.flag[i] == nil {
-			t.Fatalf("translate %s left flag %s unset", op.Op, flagName[i])
+		v := s.readFlag(i)
+		if _, undef := v.(*ir.Undef); undef {
+			t.Fatalf("translate %s left flag %s undefined", op.Op, flagName[i])
 		}
-		bit := bld.Shl(bld.ZExt(s.flag[i], ir.I64), ir.Int(ir.I64, uint64(i)))
+		bit := bld.Shl(bld.ZExt(v, ir.I64), ir.Int(ir.I64, uint64(i)))
 		packed = bld.Or(packed, bit)
 	}
 	bld.Ret(packed)

@@ -121,31 +121,40 @@ func retType(sig abi.Signature) *ir.Type {
 	return ir.Void
 }
 
-// phikey identifies one phi slot.
-type phikey struct {
-	isXMM  bool
-	isFlag bool
-	idx    uint8
-	facet  Facet
-}
-
-type phiEntry struct {
-	key phikey
-	phi *ir.Inst
-}
-
 type blockLift struct {
-	mb   *machBlock
-	irb  *ir.Block
-	st   *state
-	phis []phiEntry
+	mb  *machBlock
+	irb *ir.Block
+	st  *state
+	// phis holds the entry phis created so far, indexed by slot; entered
+	// has bit g set once entry group g has its phis.
+	phis    [phisPerBlock]*ir.Inst
+	entered uint64
 }
 
 // gprPhiFacets and xmmPhiFacets are the facets merged through phi nodes at
-// block heads; the paper merges "the values of the registers in all facets
-// of the predecessors". Unused phis are removed by the optimizer.
-var gprPhiFacets = []Facet{FI64, FPtr}
-var xmmPhiFacets = []Facet{FI128, FF64, FV2F64}
+// block heads. The paper merges "the values of the registers in all facets
+// of the predecessors" in every block and leaves unused phis to the
+// optimizer; this lifter creates a register's phis, all these facets at
+// once, only in blocks that need its entry value (see state).
+var gprPhiFacets = [...]Facet{FI64, FPtr}
+var xmmPhiFacets = [...]Facet{FI128, FF64, FV2F64}
+
+// Entry phi slots order a block's phis at its head: register r's GPR then
+// XMM facets at r*slotsPerReg, then the flags at flagSlot.
+const (
+	slotsPerReg  = len(gprPhiFacets) + len(xmmPhiFacets)
+	flagSlot     = 16 * slotsPerReg
+	phisPerBlock = flagSlot + numFlags
+)
+
+// newPhi creates an entry phi for slot. Phis join the block head in slot
+// order once every block is translated, so they are built outside the
+// builder.
+func (bl *blockLift) newPhi(slot int, ty *ir.Type, name string) *ir.Inst {
+	phi := &ir.Inst{Op: ir.OpPhi, Ty: ty, Nam: name, Parent: bl.irb}
+	bl.phis[slot] = phi
+	return phi
+}
 
 // LiftFunc lifts the function at addr. The signature determines the
 // parameter-register mapping of Section III.A.
@@ -193,19 +202,14 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 		return mbs[i].start < mbs[j].start
 	})
 
-	// Every block head seeds one phi per GPR/XMM facet and flag, so the
-	// phi-slot and instruction slices have a known floor — preallocating
-	// them keeps the hot translate loop out of append's regrow path.
-	phisPerBlock := 16*(len(gprPhiFacets)+len(xmmPhiFacets)) + numFlags
-
 	lifts := make([]*blockLift, len(mbs))
 	byAddr := make(map[uint64]*blockLift, len(mbs))
 	for i, mb := range mbs {
 		bl := &blockLift{mb: mb, irb: f.NewBlock(fmt.Sprintf("bb_%x", mb.start))}
-		bl.phis = make([]phiEntry, 0, phisPerBlock)
-		// Each machine instruction expands to a handful of IR instructions
-		// on top of the phi block; start the slice at that scale.
-		bl.irb.Insts = make([]*ir.Inst, 0, phisPerBlock+4*len(mb.insts))
+		// Each machine instruction expands to a handful of IR instructions;
+		// start the slice at that scale.
+		bl.irb.Insts = make([]*ir.Inst, 0, 4*len(mb.insts))
+		bl.st = newBlockState(bl)
 		lifts[i] = bl
 		byAddr[mb.start] = bl
 		l.blockIR[mb.start] = bl.irb
@@ -219,34 +223,7 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 	l.setupEntry(entrySt, f, sig)
 	l.b.Br(byAddr[addr].irb)
 
-	// Seed phis for every machine block.
-	for _, bl := range lifts {
-		l.b.SetBlock(bl.irb)
-		st := newState()
-		for r := 0; r < 16; r++ {
-			for _, fc := range gprPhiFacets {
-				phi := l.b.Phi(fc.Type())
-				phi.Nam = fmt.Sprintf("%s.%s.%x", x86.Reg(r).Name(8), fc, bl.mb.start)
-				st.gpr[r][fc] = phi
-				bl.phis = append(bl.phis, phiEntry{phikey{false, false, uint8(r), fc}, phi})
-			}
-			for _, fc := range xmmPhiFacets {
-				phi := l.b.Phi(fc.Type())
-				phi.Nam = fmt.Sprintf("xmm%d.%s.%x", r, fc, bl.mb.start)
-				st.xmm[r][fc] = phi
-				bl.phis = append(bl.phis, phiEntry{phikey{true, false, uint8(r), fc}, phi})
-			}
-		}
-		for fl := 0; fl < numFlags; fl++ {
-			phi := l.b.Phi(ir.I1)
-			phi.Nam = fmt.Sprintf("%s.%x", flagNames[fl], bl.mb.start)
-			st.flag[fl] = phi
-			bl.phis = append(bl.phis, phiEntry{phikey{false, true, uint8(fl), 0}, phi})
-		}
-		bl.st = st
-	}
-
-	// Translate instructions block by block.
+	// Translate instructions block by block; reads create entry phis.
 	for _, bl := range lifts {
 		l.b.SetBlock(bl.irb)
 		s := bl.st
@@ -265,23 +242,60 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 		}
 	}
 
-	// Wire phis: connect each block's phi slots to the predecessor states,
-	// materializing facet conversions at predecessor ends when needed.
 	byIR := make(map[*ir.Block]*blockLift, len(lifts))
 	for _, bl := range lifts {
 		byIR[bl.irb] = bl
 	}
 	predsOf := f.Preds()
+
+	// Close the entry phis over the CFG: a predecessor that passes a group
+	// through untouched needs that group's entry phis too.
+	work := append([]*blockLift(nil), lifts...)
+	for len(work) > 0 {
+		bl := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range predsOf[bl.irb] {
+			pl, ok := byIR[p]
+			if !ok {
+				continue // synthetic entry: nothing pending
+			}
+			need := bl.entered & pl.st.pending
+			if need == 0 {
+				continue
+			}
+			for g := 0; g < numGroups; g++ {
+				if need&(1<<uint(g)) != 0 {
+					pl.st.enter(g)
+				}
+			}
+			work = append(work, pl)
+		}
+	}
+
+	// Wire phis: place each block's phis at its head in slot order and
+	// connect them to the predecessor states, materializing facet
+	// conversions at predecessor ends when needed.
 	for _, bl := range lifts {
 		preds := predsOf[bl.irb]
-		for _, pe := range bl.phis {
-			// One incoming edge per predecessor: size the phi up front.
-			pe.phi.Args = make([]ir.Value, 0, len(preds))
-			pe.phi.Incoming = make([]*ir.Block, 0, len(preds))
-			for _, p := range preds {
-				v := l.predValue(p, byIR, entrySt, pe.key)
-				ir.AddIncoming(pe.phi, v, p)
+		var head []*ir.Inst
+		for slot, phi := range bl.phis {
+			if phi == nil {
+				continue
 			}
+			head = append(head, phi)
+			// One incoming edge per predecessor: size the phi up front.
+			phi.Args = make([]ir.Value, 0, len(preds))
+			phi.Incoming = make([]*ir.Block, 0, len(preds))
+			for _, p := range preds {
+				st := entrySt
+				if pl, ok := byIR[p]; ok {
+					st = pl.st
+				}
+				ir.AddIncoming(phi, l.predValue(p, st, slot), p)
+			}
+		}
+		if len(head) > 0 {
+			bl.irb.Insts = append(head, bl.irb.Insts...)
 		}
 	}
 	if err := ir.Verify(f); err != nil {
@@ -291,48 +305,37 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 }
 
 // predValue fetches (or materializes) the value of a phi slot at the end of
-// predecessor block p.
-func (l *Lifter) predValue(p *ir.Block, byIR map[*ir.Block]*blockLift, entrySt *state, key phikey) ir.Value {
-	var st *state
-	if bl, ok := byIR[p]; ok {
-		st = bl.st
-	} else {
-		st = entrySt // synthetic entry block
+// predecessor block p, whose final state is st.
+func (l *Lifter) predValue(p *ir.Block, st *state, slot int) ir.Value {
+	if slot >= flagSlot {
+		return st.readFlag(slot - flagSlot)
 	}
-	if key.isFlag {
-		if st.flag[key.idx] == nil {
-			return ir.UndefOf(ir.I1)
+	r, k := slot/slotsPerReg, slot%slotsPerReg
+	if k < len(gprPhiFacets) {
+		fc := gprPhiFacets[k]
+		if v, ok := st.gprFacets(x86.Reg(r))[fc]; ok {
+			return v
 		}
-		return st.flag[key.idx]
+		return l.atBlockEnd(p, func() ir.Value { return l.readGPRFacet(st, x86.Reg(r), fc) })
 	}
-	m := st.gpr[key.idx]
-	if key.isXMM {
-		m = st.xmm[key.idx]
-	}
-	if v, ok := m[key.facet]; ok {
+	fc := xmmPhiFacets[k-len(gprPhiFacets)]
+	if v, ok := st.xmmFacets(r)[fc]; ok {
 		return v
 	}
-	// Materialize a conversion at the end of p (before its terminator).
-	var out ir.Value
-	l.atBlockEnd(p, func() {
-		if key.isXMM {
-			out = l.readXMMFacet(st, x86.XMM0+x86.Reg(key.idx), key.facet)
-		} else {
-			out = l.readGPRFacet(st, x86.Reg(key.idx), key.facet)
-		}
-	})
-	return out
+	return l.atBlockEnd(p, func() ir.Value { return l.readXMMFacet(st, x86.XMM0+x86.Reg(r), fc) })
 }
 
-// atBlockEnd runs fn with the builder positioned before b's terminator.
-func (l *Lifter) atBlockEnd(b *ir.Block, fn func()) {
+// atBlockEnd runs fn with the builder positioned before b's terminator and
+// returns its result.
+func (l *Lifter) atBlockEnd(b *ir.Block, fn func() ir.Value) ir.Value {
 	saved := l.b.Cur
 	term := b.Insts[len(b.Insts)-1]
 	b.Insts = b.Insts[:len(b.Insts)-1]
 	l.b.SetBlock(b)
-	fn()
+	v := fn()
 	b.Insts = append(b.Insts, term)
 	l.b.SetBlock(saved)
+	return v
 }
 
 // setupEntry initializes the register state from the function parameters
@@ -343,25 +346,28 @@ func (l *Lifter) setupEntry(s *state, f *ir.Func, sig abi.Signature) {
 	stack.Nam = "vstack"
 	top := l.b.GEP(ir.I8, stack, ir.Int(ir.I64, uint64(l.Opts.StackSize-128)))
 	top.Nam = "rsp.init"
-	s.gpr[x86.RSP][FPtr] = top
-	s.gpr[x86.RSP][FI64] = l.b.PtrToInt(top, ir.I64)
+	rsp := s.defGPR(x86.RSP)
+	rsp[FPtr] = top
+	rsp[FI64] = l.b.PtrToInt(top, ir.I64)
 
 	for _, loc := range sig.Locations() {
 		p := f.Params[loc.Index]
 		if loc.IsFP {
 			x := loc.Reg - x86.XMM0
 			vec := l.b.InsertElement(ir.UndefOf(ir.VecOf(ir.Double, 2)), p, 0)
-			s.xmm[x][FV2F64] = vec
-			s.xmm[x][FF64] = p
-			s.xmm[x][FI128] = l.b.Bitcast(vec, ir.I128)
+			m := s.defXMM(int(x))
+			m[FV2F64] = vec
+			m[FF64] = p
+			m[FI128] = l.b.Bitcast(vec, ir.I128)
 			continue
 		}
+		m := s.defGPR(loc.Reg)
 		switch sig.Params[loc.Index] {
 		case abi.ClassPtr:
-			s.gpr[loc.Reg][FPtr] = p
-			s.gpr[loc.Reg][FI64] = l.b.PtrToInt(p, ir.I64)
+			m[FPtr] = p
+			m[FI64] = l.b.PtrToInt(p, ir.I64)
 		default:
-			s.gpr[loc.Reg][FI64] = p
+			m[FI64] = p
 		}
 	}
 }

@@ -15,11 +15,11 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.NOP, x86.ENDBR64:
 		return nil
 	case x86.STC:
-		s.flag[fCF] = ir.Bool(true)
+		s.setFlag(fCF, ir.Bool(true))
 		s.fc = flagCache{}
 		return nil
 	case x86.CLC:
-		s.flag[fCF] = ir.Bool(false)
+		s.setFlag(fCF, ir.Bool(false))
 		s.fc = flagCache{}
 		return nil
 	case x86.UD2:
@@ -36,7 +36,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		if in.Dst.Kind == x86.KReg && in.Src.Kind == x86.KReg && in.Dst.Size == 8 &&
 			!in.Src.Reg.IsHighByte() {
 			var ptr ir.Value
-			if p, ok := s.gpr[in.Src.Reg][FPtr]; ok {
+			if p, ok := s.gprFacets(in.Src.Reg)[FPtr]; ok {
 				ptr = p
 			}
 			v := l.readGPRFacet(s, in.Src.Reg, FI64)
@@ -87,8 +87,8 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 			// conditions compare pointers (one induction chain, not two).
 			if in.Dst.Kind == x86.KReg && in.Src.Kind == x86.KReg &&
 				in.Dst.Size == 8 && in.Src.Size == 8 {
-				if ap, ok := s.gpr[in.Dst.Reg][FPtr]; ok {
-					if bp, ok2 := s.gpr[in.Src.Reg][FPtr]; ok2 {
+				if ap, ok := s.gprFacets(in.Dst.Reg)[FPtr]; ok {
+					if bp, ok2 := s.gprFacets(in.Src.Reg)[FPtr]; ok2 {
 						s.fc.aPtr, s.fc.bPtr = ap, bp
 					}
 				}
@@ -99,7 +99,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		// (Section III.C: add/lea can set both facets).
 		var ptr ir.Value
 		if in.Dst.Kind == x86.KReg && in.Dst.Size == 8 && l.Opts.UseGEP {
-			if base, ok := s.gpr[in.Dst.Reg][FPtr]; ok {
+			if base, ok := s.gprFacets(in.Dst.Reg)[FPtr]; ok {
 				off := c
 				if isSub {
 					off = b.Sub(ir.Int(ir.I64, 0), c)
@@ -113,7 +113,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.ADC, x86.SBB:
 		a := l.readIntOperand(s, in, in.Dst)
 		c := l.matchWidth(l.readIntOperand(s, in, in.Src), a.Type())
-		carry := b.ZExt(l.flagVal(s, fCF), a.Type())
+		carry := b.ZExt(s.readFlag(fCF), a.Type())
 		var res ir.Value
 		if in.Op == x86.ADC {
 			res = b.Add(b.Add(a, c), carry)
@@ -165,7 +165,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.INC, x86.DEC:
 		a := l.readIntOperand(s, in, in.Dst)
 		one := ir.Int(a.Type(), 1)
-		cf := s.flag[fCF] // preserved by inc/dec
+		cf := s.readFlag(fCF) // preserved by inc/dec
 		var res ir.Value
 		if in.Op == x86.INC {
 			res = b.Add(a, one)
@@ -174,7 +174,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 			res = b.Sub(a, one)
 			l.setArithFlags(s, true, a, one, res)
 		}
-		s.flag[fCF] = cf
+		s.setFlag(fCF, cf)
 		s.fc = flagCache{}
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
@@ -345,14 +345,6 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	return l.translateSSE(s, in)
 }
 
-// flagVal returns a flag value, defaulting to undef.
-func (l *Lifter) flagVal(s *state, idx int) ir.Value {
-	if s.flag[idx] == nil {
-		return ir.UndefOf(ir.I1)
-	}
-	return s.flag[idx]
-}
-
 // matchWidth adapts an immediate operand's type to the computation type
 // (x86 sign-extends 8-bit immediates to the operand size).
 func (l *Lifter) matchWidth(v ir.Value, ty *ir.Type) ir.Value {
@@ -402,10 +394,10 @@ func (l *Lifter) translateCall(s *state, in *x86.Inst) error {
 
 	// Clobber caller-saved registers and all vector registers.
 	for _, r := range abi.CallerSaved {
-		clearFacets(s.gpr[r])
+		s.defGPR(r)
 	}
-	for i := range s.xmm {
-		clearFacets(s.xmm[i])
+	for x := 0; x < 16; x++ {
+		s.defXMM(x)
 	}
 	s.setFlagsUndef()
 
