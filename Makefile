@@ -23,9 +23,12 @@ race:
 	$(GO) test -race ./...
 
 # Tiered-execution promotion/deopt suite under the race detector, run with
-# -count=1 so the concurrency-sensitive package is re-exercised every gate.
+# -count=1 so the concurrency-sensitive package is re-exercised every gate,
+# plus the root package's tiering tests, which hold the promotion contract
+# through Rewriter.Tiered.
 race-tiering:
 	$(GO) test -race -count=1 ./internal/tier/...
+	$(GO) test -race -count=1 -run 'Tiered|TierStats' .
 
 # dbrewd end-to-end suite (coalescing, admission control, shutdown drain),
 # the cache singleflight races, and the engine's parallel-compile battery,

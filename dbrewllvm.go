@@ -473,12 +473,13 @@ func (r *Rewriter) SetConfig(c dbrew.Config) { r.rw.SetConfig(c) }
 //
 // When the engine's specialization cache is enabled (Engine.EnableCache)
 // and NoCache is false, the result is memoized under a canonical key of the
-// entry address, signature, backend, optimization switches, fixed
-// parameters, and the current contents of all fixed memory ranges. Mutating
-// bytes inside a SetMem range therefore changes the key and forces a fresh
-// compile — cached code can never go stale. Concurrent Rewrite calls are
-// safe as long as each goroutine uses its own Rewriter; same-key calls
-// compile exactly once, and distinct keys compile in parallel.
+// entry address, signature, backend, optimization switches, fallback policy
+// (Strict), fixed parameters, and the current contents of all fixed memory
+// ranges. Mutating bytes inside a SetMem range therefore changes the key and
+// forces a fresh compile — cached code can never go stale. Concurrent
+// Rewrite calls are safe as long as each goroutine uses its own Rewriter;
+// same-key calls compile exactly once, and distinct keys compile in
+// parallel.
 func (r *Rewriter) Rewrite() (uint64, error) {
 	return r.RewriteCtx(context.Background())
 }
@@ -581,6 +582,7 @@ func (r *Rewriter) cacheKey() (codecache.Key, bool) {
 	h.U64(r.entry)
 	h.I64(int64(r.backend))
 	h.Bool(r.FastMath)
+	h.Bool(r.Strict) // a non-strict fallback must not satisfy a Strict call
 	h.I64(int64(r.ForceVectorWidth))
 
 	h.I64(int64(r.sig.Ret))

@@ -90,3 +90,30 @@ func TestNonStrictKeepsFallback(t *testing.T) {
 		t.Fatal("Stats.Failed not set on fallback")
 	}
 }
+
+// TestStrictDoesNotHitNonStrictFallback: the fallback policy is part of
+// what a cached result means. A non-strict Rewrite caches the original
+// entry for undecodable code; a later Strict Rewrite of the same function
+// must still surface the rewrite-stage error instead of returning that
+// cached fallback.
+func TestStrictDoesNotHitNonStrictFallback(t *testing.T) {
+	e := NewEngine()
+	e.EnableCache(0)
+	fn := e.PlaceCode([]byte{0x06, 0xc3}, "garbage")
+
+	lax := NewRewriter(e, fn, Sig(Int))
+	lax.SetBackend(BackendLLVM)
+	if addr, err := lax.Rewrite(); err != nil || addr != fn || !lax.Stats.Failed {
+		t.Fatalf("non-strict Rewrite = %#x, %v (Failed %v); want the original entry as fallback",
+			addr, err, lax.Stats.Failed)
+	}
+
+	strict := NewRewriter(e, fn, Sig(Int))
+	strict.SetBackend(BackendLLVM)
+	strict.Strict = true
+	addr, err := strict.Rewrite()
+	if !errors.Is(err, ErrStageRewrite) {
+		t.Fatalf("strict Rewrite after a cached fallback = %#x, %v (cache hit %v); want ErrStageRewrite",
+			addr, err, strict.CacheHit)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codecache"
 	"repro/internal/emu"
 )
 
@@ -130,8 +129,7 @@ type FuncStats struct {
 	Deopts uint64
 	// CompileErrors counts failed promotion compiles.
 	CompileErrors uint64
-	// CompileTime is the total wall-clock time spent compiling (including
-	// time blocked on another handle's in-flight identical compile).
+	// CompileTime is the total wall-clock time spent compiling.
 	CompileTime time.Duration
 	// TimeInTier accumulates wall-clock residency per tier.
 	TimeInTier [NumLevels]time.Duration
@@ -154,7 +152,6 @@ func (s FuncStats) String() string {
 // Stats snapshots a whole manager.
 type Stats struct {
 	Funcs []FuncStats
-	Cache codecache.Stats
 	// Trace is the process-wide trace-tier snapshot: tier-0 dispatch runs
 	// the emulator, whose block engine promotes hot loops to compiled
 	// superblock traces on its own. These counters expose that inner tier.
@@ -182,7 +179,8 @@ func (s Stats) CompileLatencyFor(l Level) HistogramSnapshot {
 	return h
 }
 
-// String renders a small per-function table plus the cache counters.
+// String renders a small per-function table plus the compile latency and
+// trace-tier counters.
 func (s Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-12s %8s %6s %6s %6s %12s  %s\n",
@@ -195,7 +193,6 @@ func (s Stats) String() string {
 			f.TimeInTier[1].Round(time.Microsecond),
 			f.TimeInTier[2].Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "compile cache: %v\n", s.Cache)
 	fmt.Fprintf(&b, "compile latency: %v\n", s.CompileLatency())
 	fmt.Fprintf(&b, "compile latency tier1: %v\n", s.CompileLatencyFor(Tier1))
 	fmt.Fprintf(&b, "compile latency tier2: %v\n", s.CompileLatencyFor(Tier2))

@@ -15,16 +15,16 @@
 // Promotions compile in a background goroutine and install via an atomic
 // code-pointer swap, so callers never block on a compile (unless
 // Config.Synchronous is set, which is deterministic and useful for tests and
-// benchmarks). Concurrent promotions of the same specialization are
-// deduplicated through a codecache singleflight: no matter how many
-// goroutines cross a hotness threshold together, each (function, tier)
-// specialization compiles exactly once.
+// benchmarks). Each handle keeps one in-flight flag per tier: no matter how
+// many goroutines cross a hotness threshold together, each (handle, tier)
+// promotion compiles exactly once. The manager keeps no compile cache of its
+// own; every handle compiles through its own CompileFunc, so no handle is
+// ever served code compiled for another handle's configuration.
 //
 // A function whose specialized code depends on fixed memory regions
 // (dbrew_setmem-style) declares them at registration; Manager.Invalidate
-// deoptimizes every overlapping function back to tier 0 and drops its
-// cached compilations, so mutating a fixed region never leaves stale
-// specialized code reachable.
+// deoptimizes every overlapping function back to tier 0, so mutating a fixed
+// region never leaves stale specialized code reachable.
 package tier
 
 import (
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codecache"
 	"repro/internal/emu"
 	"repro/internal/x86"
 )
@@ -50,8 +49,8 @@ type CompileResult struct {
 // CompileFunc produces code for one target level. It runs on a background
 // goroutine (or the calling goroutine under Config.Synchronous) and must be
 // safe to run concurrently with calls executing the function's current
-// tier, and with compilations for other levels and other functions;
-// compilations that share a specialization key never run concurrently.
+// tier, and with compilations for other levels and other functions; two
+// compilations of one function for the same level never run concurrently.
 type CompileFunc func(target Level) (CompileResult, error)
 
 // FixedArg pins one integer/pointer argument to a known value. The
@@ -77,29 +76,16 @@ type Config struct {
 	Tier1Calls uint64
 	Tier2Calls uint64
 
-	// Tier1Cycles and Tier2Cycles optionally promote on accumulated
-	// modelled cycles instead of call counts (whichever threshold is
-	// crossed first). Zero disables the cycle trigger.
-	Tier1Cycles uint64
-	Tier2Cycles uint64
-
 	// Synchronous compiles promotions on the calling goroutine at the call
 	// that crosses the threshold, instead of in the background. Promotion
 	// points become deterministic; the crossing call pays the compile.
 	Synchronous bool
-
-	// CacheCapacity bounds the promotion singleflight cache (default 256).
-	CacheCapacity int
-
-	// MaxInst bounds the emulated instructions per dispatched call
-	// (0 = unlimited), mirroring DBrew's resource limits.
-	MaxInst uint64
-
-	// StackSize is the private stack per pooled executor (default 64 KiB).
-	// Each concurrent caller gets its own stack region, which is what makes
-	// dispatch safe from many goroutines on one shared address space.
-	StackSize int
 }
+
+// stackSize is the private stack per pooled executor. Each concurrent caller
+// gets its own stack region, which is what makes dispatch safe from many
+// goroutines on one shared address space.
+const stackSize = 64 << 10
 
 func (c Config) withDefaults() Config {
 	if c.Tier1Calls == 0 {
@@ -108,21 +94,13 @@ func (c Config) withDefaults() Config {
 	if c.Tier2Calls == 0 {
 		c.Tier2Calls = 100
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 256
-	}
-	if c.StackSize <= 0 {
-		c.StackSize = 64 << 10
-	}
 	return c
 }
 
-// Manager owns the registered functions, the promotion policy, and the
-// compile singleflight cache. All methods are safe for concurrent use.
+// Manager owns the registered functions and the promotion policy. All
+// methods are safe for concurrent use.
 type Manager struct {
-	mem   *emu.Memory
-	cfg   Config
-	cache *codecache.Cache[CompileResult]
+	cfg Config
 
 	pool sync.Pool // of *executor
 	wg   sync.WaitGroup
@@ -133,13 +111,9 @@ type Manager struct {
 
 // NewManager creates a tiering manager over the given address space.
 func NewManager(mem *emu.Memory, cfg Config) *Manager {
-	m := &Manager{
-		mem:   mem,
-		cfg:   cfg.withDefaults(),
-		cache: codecache.New[CompileResult](cfg.CacheCapacity),
-	}
+	m := &Manager{cfg: cfg.withDefaults()}
 	m.pool.New = func() any {
-		stack := mem.Alloc(m.cfg.StackSize, 4096, "tier.stack")
+		stack := mem.Alloc(stackSize, 4096, "tier.stack")
 		return &executor{
 			m: emu.NewMachine(mem),
 			// Leave the ABI red zone below the initial stack pointer.
@@ -201,9 +175,6 @@ func (m *Manager) Register(spec FuncSpec) (*Func, error) {
 	return f, nil
 }
 
-// Config returns the manager's effective configuration (defaults applied).
-func (m *Manager) Config() Config { return m.cfg }
-
 // Funcs returns the registered handles in registration order.
 func (m *Manager) Funcs() []*Func {
 	m.mu.Lock()
@@ -217,10 +188,10 @@ func (m *Manager) Drain() { m.wg.Wait() }
 
 // Invalidate declares that bytes in [start, end) changed. Every function
 // whose fixed ranges overlap is deoptimized back to tier 0: its counters
-// reset, its cached compilations are dropped, and any in-flight promotion
-// result is discarded on arrival. It returns the number of functions
-// deoptimized. Call it after mutating memory a specialization was compiled
-// against; the next promotion re-specializes over the new contents.
+// reset and any in-flight promotion result is discarded on arrival. It
+// returns the number of functions deoptimized. Call it after mutating memory
+// a specialization was compiled against; the next promotion re-specializes
+// over the new contents.
 func (m *Manager) Invalidate(start, end uint64) int {
 	n := 0
 	for _, f := range m.Funcs() {
@@ -232,24 +203,10 @@ func (m *Manager) Invalidate(start, end uint64) int {
 	return n
 }
 
-// CacheStats reports the promotion singleflight cache counters. Misses
-// count actual compilations started.
-func (m *Manager) CacheStats() codecache.Stats { return m.cache.Stats() }
-
-// SetCacheRemoveHook installs fn to observe every explicit removal from the
-// promotion cache — i.e. every deoptimization's dropped compilation keys.
-// The engine points this at its lower cache levels (disk artifact eviction
-// and the fleet eviction broadcast) so a deoptimized specialization cannot
-// be resurrected stale from a level the manager does not know about. A nil
-// fn uninstalls. See codecache.Cache.SetRemoveHook for the firing rules.
-func (m *Manager) SetCacheRemoveHook(fn func(codecache.Key)) {
-	m.cache.SetRemoveHook(fn)
-}
-
-// Stats snapshots every registered function plus the compile cache and the
-// emulator's trace-tier counters.
+// Stats snapshots every registered function plus the emulator's trace-tier
+// counters.
 func (m *Manager) Stats() Stats {
-	st := Stats{Cache: m.cache.Stats(), Trace: emu.ReadTraceStats()}
+	st := Stats{Trace: emu.ReadTraceStats()}
 	for _, f := range m.Funcs() {
 		st.Funcs = append(st.Funcs, f.Stats())
 	}
@@ -293,14 +250,6 @@ type Func struct {
 	compileErrs uint64
 	compileTime time.Duration
 	lastErr     error
-	keys        [NumLevels]cachedKey
-}
-
-// cachedKey remembers the singleflight key an installed tier was compiled
-// under, so deoptimization can evict it.
-type cachedKey struct {
-	key codecache.Key
-	ok  bool
 }
 
 // Name returns the registration name.
@@ -342,7 +291,7 @@ func (f *Func) dispatch(ints []uint64, floats []float64) (rax uint64, xmm0 float
 	ex := f.mgr.pool.Get().(*executor)
 	ex.m.Reset()
 	ex.m.GPR[x86.RSP] = ex.stackTop
-	rax, err = ex.m.Call(st.entry, emu.CallArgs{Ints: args, Floats: floats}, f.mgr.cfg.MaxInst)
+	rax, err = ex.m.Call(st.entry, emu.CallArgs{Ints: args, Floats: floats}, 0)
 	xmm0 = emuF64(ex.m.XMM[0].Lo)
 	cyc := uint64(ex.m.Cycles)
 	n := ex.m.InstCount
@@ -351,23 +300,23 @@ func (f *Func) dispatch(ints []uint64, floats []float64) (rax uint64, xmm0 float
 		return 0, 0, err
 	}
 	calls := f.calls.Add(1)
-	cycles := f.cycles.Add(cyc)
+	f.cycles.Add(cyc)
 	f.insts.Add(n)
-	f.maybePromote(calls, cycles)
+	f.maybePromote(calls)
 	return rax, xmm0, nil
 }
 
-// maybePromote requests the highest tier whose hotness threshold the
-// counters have crossed. Requests are deduplicated per target level; a
-// direct 0→2 jump happens when both thresholds were crossed before tier 1
-// finished compiling.
-func (f *Func) maybePromote(calls, cycles uint64) {
+// maybePromote requests the highest tier whose call-count threshold has
+// been crossed. Requests are deduplicated per target level; a direct 0→2
+// jump happens when both thresholds were crossed before tier 1 finished
+// compiling.
+func (f *Func) maybePromote(calls uint64) {
 	st := f.active.Load()
 	cfg := f.mgr.cfg
 	switch {
-	case st.level < Tier2 && (calls >= cfg.Tier2Calls || (cfg.Tier2Cycles > 0 && cycles >= cfg.Tier2Cycles)):
+	case st.level < Tier2 && calls >= cfg.Tier2Calls:
 		f.requestPromotion(Tier2)
-	case st.level < Tier1 && (calls >= cfg.Tier1Calls || (cfg.Tier1Cycles > 0 && cycles >= cfg.Tier1Cycles)):
+	case st.level < Tier1 && calls >= cfg.Tier1Calls:
 		f.requestPromotion(Tier1)
 	}
 }
@@ -390,26 +339,14 @@ func (f *Func) requestPromotion(target Level) {
 	}()
 }
 
-// promote compiles the target level through the singleflight cache and
-// installs the result with an atomic swap, unless the function was
-// deoptimized while the compile ran (the generation check) or a higher tier
-// was installed meanwhile.
+// promote compiles the target level and installs the result with an atomic
+// swap, unless the function was deoptimized while the compile ran (the
+// generation check) or a higher tier was installed meanwhile.
 func (f *Func) promote(target Level) {
 	defer f.inflight[target].Store(false)
 	gen := f.gen.Load()
-	key, keyOK := f.specKey(target)
 	start := time.Now()
-	var res CompileResult
-	var err error
-	if keyOK {
-		res, _, err = f.mgr.cache.Do(key, func() (CompileResult, error) {
-			return f.compile(target)
-		})
-	} else {
-		// A fixed range points at unmapped memory; compile without
-		// cross-handle dedup (the inflight flag still dedups per handle).
-		res, err = f.compile(target)
-	}
+	res, err := f.compile(target)
 	lat := time.Since(start)
 	f.hist[target].Add(lat)
 
@@ -434,7 +371,6 @@ func (f *Func) promote(target Level) {
 	f.enteredAt = now
 	f.active.Store(&codeState{level: target, entry: res.Entry, size: res.CodeSize})
 	f.promotions[target]++
-	f.keys[target] = cachedKey{key: key, ok: keyOK}
 }
 
 // deopt drops the function back to tier 0 and forgets everything derived
@@ -448,12 +384,6 @@ func (f *Func) deopt() {
 	f.insts.Store(0)
 	for l := range f.failed {
 		f.failed[l].Store(false)
-	}
-	for l, k := range f.keys {
-		if k.ok {
-			f.mgr.cache.Remove(k.key)
-			f.keys[l] = cachedKey{}
-		}
 	}
 	cur := f.active.Load()
 	if cur.level == Tier0 {
@@ -473,30 +403,4 @@ func (f *Func) overlaps(start, end uint64) bool {
 		}
 	}
 	return false
-}
-
-// specKey canonicalizes the (function, level) specialization, hashing the
-// current contents of all fixed ranges — the same scheme the engine's
-// rewrite cache uses, so two handles over identical configurations share
-// one compilation. ok is false when a fixed range is unreadable.
-func (f *Func) specKey(target Level) (codecache.Key, bool) {
-	h := codecache.NewHasher()
-	h.U64(f.orig)
-	h.I64(int64(target))
-	h.U64(uint64(len(f.fixed)))
-	for _, fx := range f.fixed {
-		h.I64(int64(fx.Idx))
-		h.U64(fx.Val)
-	}
-	h.U64(uint64(len(f.ranges)))
-	for _, r := range f.ranges {
-		h.U64(r.Start)
-		h.U64(r.End)
-		data, err := f.mgr.mem.Read(r.Start, int(r.End-r.Start))
-		if err != nil {
-			return codecache.Key{}, false
-		}
-		h.Bytes(data)
-	}
-	return h.Sum(), true
 }

@@ -245,9 +245,9 @@ func TestTimeInTierAccounting(t *testing.T) {
 
 // TestConcurrentPromotionCompilesOnce is the exactly-once guarantee under
 // contention: 32 goroutines hammer one handle through both thresholds, and
-// the tier-2 pipeline must compile exactly once (singleflight + in-flight
-// dedup), observable both in the compile cache counters and the promotion
-// counters. Run under -race (make check does).
+// the tier-2 pipeline must compile exactly once (the per-handle in-flight
+// flag), observable both in the compile counts and the promotion counters.
+// Run under -race (make check does).
 func TestConcurrentPromotionCompilesOnce(t *testing.T) {
 	mem := emu.NewMemory(0x1000000)
 	mgr := NewManager(mem, Config{Tier1Calls: 8, Tier2Calls: 64})
@@ -300,11 +300,6 @@ func TestConcurrentPromotionCompilesOnce(t *testing.T) {
 	}
 	if st.Calls != goroutines*callsPer {
 		t.Fatalf("calls = %d, want %d", st.Calls, goroutines*callsPer)
-	}
-	cs := mgr.CacheStats()
-	wantMisses := counts[Tier1].Load() + counts[Tier2].Load()
-	if cs.Misses != wantMisses {
-		t.Fatalf("cache misses = %d, want %d (one per compiled level)", cs.Misses, wantMisses)
 	}
 }
 

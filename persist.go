@@ -132,13 +132,12 @@ func (e *Engine) DiskHas(k codecache.Key) (has, ok bool) {
 	return e.disk.Contains(k), true
 }
 
-// wireRemoveHook keeps the explicit-Remove hooks of the in-memory caches —
-// the Rewrite specialization cache and, when tiering is enabled, the
-// promotion cache (whose deoptimizations Remove their keys) — pointed at
-// the lower levels: removing a specialization key drops the disk artifact
-// and then notifies the eviction observer (the fleet layer's broadcast).
-// Hook firing order is memory → disk → notifier, so by the time a peer
-// hears about the eviction the local levels are already clean.
+// wireRemoveHook keeps the explicit-Remove hook of the in-memory
+// specialization cache pointed at the lower levels: removing a
+// specialization key drops the disk artifact and then notifies the eviction
+// observer (the fleet layer's broadcast). Hook firing order is memory →
+// disk → notifier, so by the time a peer hears about the eviction the local
+// levels are already clean.
 func (e *Engine) wireRemoveHook() {
 	hook := func(k codecache.Key) {
 		if d := e.disk; d != nil {
@@ -151,14 +150,11 @@ func (e *Engine) wireRemoveHook() {
 	if e.cache != nil {
 		e.cache.SetRemoveHook(hook)
 	}
-	if e.tiering != nil {
-		e.tiering.SetCacheRemoveHook(hook)
-	}
 }
 
 // SetEvictNotifier installs fn to observe every explicit specialization
-// removal (RemoveSpecialization, tier deoptimization) after the in-memory
-// and disk levels dropped the key. The dbrewd fleet layer registers the
+// removal (RemoveSpecialization) after the in-memory and disk levels dropped
+// the key. The dbrewd fleet layer registers the
 // peer eviction broadcast here. Install before serving traffic; fn must not
 // call back into Remove for the same key.
 func (e *Engine) SetEvictNotifier(fn func(codecache.Key)) {

@@ -10,10 +10,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"repro/internal/codecache"
-	"repro/internal/diskcache"
-	"sync"
 	"testing"
+
+	"repro/internal/codecache"
 )
 
 // diskSetup is cacheSetup plus a disk level over dir. The allocation order
@@ -208,88 +207,6 @@ func TestDiskCorruptionRecompilesIdentical(t *testing.T) {
 	// And the recompile healed the disk slot.
 	if has, _ := e2.DiskHas(key); !has {
 		t.Fatal("recompile did not write the artifact back")
-	}
-}
-
-// TestInvalidateRangeEvictsDiskAndBroadcasts: satellite 6's tiering half —
-// a deoptimization drops its promotion-cache keys, and those removals must
-// propagate to the disk level and the eviction notifier, so a deoptimized
-// specialization cannot be resurrected stale from disk.
-func TestInvalidateRangeEvictsDiskAndBroadcasts(t *testing.T) {
-	e := NewEngine()
-	e.EnableTiering(TierConfig{Tier1Calls: 2, Tier2Calls: 4, Synchronous: true})
-	if err := e.EnableDiskCache(t.TempDir(), 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var notified []codecache.Key
-	e.SetEvictNotifier(func(k codecache.Key) {
-		mu.Lock()
-		notified = append(notified, k)
-		mu.Unlock()
-	})
-
-	buf := e.Alloc(8, "coeff")
-	if err := e.Mem.WriteU(buf, 8, 1000); err != nil {
-		t.Fatal(err)
-	}
-	fn := buildAddC(t, e)
-	r := NewRewriter(e, fn, Sig(Int, Ptr, Int))
-	r.SetParPtr(0, buf, 8)
-	h, err := r.Tiered("addc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	promote := func() {
-		t.Helper()
-		for i := uint64(1); i <= 6; i++ {
-			if _, err := h.Call([]uint64{0, i}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if h.Level() != Tier2 {
-			t.Fatalf("level = %v, want tier2", h.Level())
-		}
-	}
-	promote()
-
-	// First deoptimization: capture the promotion-cache keys it dropped.
-	if n := e.InvalidateRange(buf, buf+8); n != 1 {
-		t.Fatalf("InvalidateRange deoptimized %d, want 1", n)
-	}
-	mu.Lock()
-	keys := append([]codecache.Key(nil), notified...)
-	notified = nil
-	mu.Unlock()
-	if len(keys) == 0 {
-		t.Fatal("deoptimization fired no eviction notifications")
-	}
-
-	// Plant artifacts on disk under the dropped keys (the stale state a
-	// restart could otherwise resurrect), re-promote over the unchanged
-	// contents — same keys — and deoptimize again.
-	for _, k := range keys {
-		if _, err := e.AdoptArtifact(k, &diskcache.Artifact{Code: []byte{0xc3}, Meta: []byte("{}")}); err != nil {
-			t.Fatal(err)
-		}
-		if has, _ := e.DiskHas(k); !has {
-			t.Fatal("planted artifact not on disk")
-		}
-	}
-	promote()
-	if n := e.InvalidateRange(buf, buf+8); n != 1 {
-		t.Fatal("second InvalidateRange did not deoptimize")
-	}
-	for _, k := range keys {
-		if has, _ := e.DiskHas(k); has {
-			t.Fatalf("deoptimized key %s still on disk", k)
-		}
-	}
-	mu.Lock()
-	gotNotify := len(notified)
-	mu.Unlock()
-	if gotNotify == 0 {
-		t.Fatal("second deoptimization fired no eviction notifications")
 	}
 }
 

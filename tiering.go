@@ -60,9 +60,6 @@ var ErrTieringDisabled = errors.New("dbrewllvm: tiering is not enabled (call Eng
 // it again replaces the manager and orphans existing handles.
 func (e *Engine) EnableTiering(cfg TierConfig) {
 	e.tiering = tier.NewManager(e.Mem, cfg)
-	// Deoptimizations drop their promotion-cache keys; route those removals
-	// to the disk level and the fleet eviction broadcast (persist.go).
-	e.wireRemoveHook()
 }
 
 // TieringEnabled reports whether EnableTiering has been called.
@@ -70,9 +67,9 @@ func (e *Engine) TieringEnabled() bool { return e.tiering != nil }
 
 // TierStats returns a snapshot of the tiering state — per-function tier,
 // promotion and deopt counts, time-in-tier, and the compile latency
-// histogram — plus the promotion compile-cache counters. Like CacheStats,
-// it returns the zero tier.Stats as a sentinel with ok == false when
-// tiering is disabled.
+// histogram — plus the emulator's trace-tier counters. Like CacheStats, it
+// returns the zero tier.Stats as a sentinel with ok == false when tiering
+// is disabled.
 func (e *Engine) TierStats() (st tier.Stats, ok bool) {
 	if e.tiering == nil {
 		return tier.Stats{}, false
@@ -96,8 +93,9 @@ func (e *Engine) DrainTiering() {
 // contents as it becomes hot again. Returns the number of functions
 // deoptimized (0 when tiering is disabled).
 //
-// The one-shot Rewrite cache needs no invalidation call: its keys hash the
-// fixed-range contents, so mutated regions miss naturally.
+// The one-shot Rewrite cache and the disk cache need no invalidation call:
+// their keys hash the fixed-range contents, so mutated regions miss
+// naturally.
 func (e *Engine) InvalidateRange(start, end uint64) int {
 	if e.tiering == nil {
 		return 0

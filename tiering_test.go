@@ -374,9 +374,8 @@ func TestTieredTier1IsDBrew(t *testing.T) {
 
 // TestTieredPromotionsCountCompiles pins Engine.CompileCount's contract for
 // tiering: each promotion that compiles is one pipeline execution, so a
-// handle promoted to tier 2 adds exactly 2, and a second handle over the
-// same configuration, whose promotions hit the manager's compile cache,
-// adds 0.
+// handle promoted to tier 2 adds exactly 2. Handles never share compiled
+// tiers, so a second handle over the same configuration adds its own 2.
 func TestTieredPromotionsCountCompiles(t *testing.T) {
 	e := NewEngine()
 	e.EnableTiering(TierConfig{Tier1Calls: 2, Tier2Calls: 4, Synchronous: true})
@@ -407,7 +406,57 @@ func TestTieredPromotionsCountCompiles(t *testing.T) {
 		t.Fatalf("CompileCount after promotion to tier 2 = %d, want 2", n)
 	}
 	promote("addc.again")
-	if n := e.CompileCount(); n != 2 {
-		t.Fatalf("CompileCount after cache-hit promotions = %d, want 2", n)
+	if n := e.CompileCount(); n != 4 {
+		t.Fatalf("CompileCount after a second handle's promotions = %d, want 4", n)
+	}
+}
+
+// TestTieredHandlesKeepTheirOwnConfig: two handles over one function that
+// differ only in FastMath must each run code compiled for their own
+// configuration. f(x) = x * 0.0 folds to +0 under fast-math, but the strict
+// handle must keep IEEE semantics and return -0 for x = -1, even when the
+// fast-math handle reached tier 2 first on the same engine.
+func TestTieredHandlesKeepTheirOwnConfig(t *testing.T) {
+	b := asm.NewBuilder()
+	b.I(x86.PXOR, x86.X(x86.XMM1), x86.X(x86.XMM1))
+	b.I(x86.MULSD, x86.X(x86.XMM0), x86.X(x86.XMM1))
+	b.Ret()
+	code, _, err := b.Assemble(0x400000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	e.EnableTiering(TierConfig{Tier1Calls: 2, Tier2Calls: 4, Synchronous: true})
+	fn := e.PlaceCode(code, "mulzero")
+	promote := func(name string, fastMath bool) *TieredFunc {
+		t.Helper()
+		r := NewRewriter(e, fn, Sig(F64, F64))
+		r.FastMath = fastMath
+		h, err := r.Tiered(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := h.CallF(nil, []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h.Level() != Tier2 {
+			t.Fatalf("%s: level = %v, want tier2", name, h.Level())
+		}
+		return h
+	}
+	// The premise: fast-math tier 2 folds the product to +0.
+	fast := promote("fast", true)
+	if got, err := fast.CallF(nil, []float64{-1}); err != nil || got != 0 || math.Signbit(got) {
+		t.Fatalf("fast-math handle at tier 2: -1 * 0.0 = %v, %v; want +0", got, err)
+	}
+	strict := promote("strict", false)
+	got, err := strict.CallF(nil, []float64{-1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 || !math.Signbit(got) {
+		t.Fatalf("strict handle at tier 2: -1 * 0.0 = %v (signbit %v), want -0", got, math.Signbit(got))
 	}
 }
