@@ -31,11 +31,11 @@ race-tiering:
 	$(GO) test -race -count=1 -run 'Tiered|TierStats' .
 
 # dbrewd end-to-end suite (coalescing, admission control, shutdown drain),
-# the cache singleflight races, and the engine's parallel-compile battery,
-# re-run fresh under the race detector.
+# the cache singleflight races, the engine's parallel-compile battery and
+# its disk-hit placement reuse, re-run fresh under the race detector.
 race-service:
 	$(GO) test -race -count=1 ./internal/service/... ./internal/codecache/...
-	$(GO) test -race -count=1 -run 'Concurrent|Parallel' .
+	$(GO) test -race -count=1 -run 'Concurrent|Parallel|DiskHit' .
 
 # Fastpath baseline backend: the package suite plus the pinned copy-shortcut
 # seeds, and dbrewd's deadline strategy (which shares the name), fresh under

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/abi"
@@ -79,6 +80,12 @@ type Engine struct {
 	// misses consult it before compiling, compiles write through to it.
 	disk *diskcache.Store
 
+	// restored remembers, per key, where diskLookup last placed that key's
+	// artifact, so a key that falls out of the memory level and is restored
+	// again reuses its code bytes instead of mapping another region.
+	restoredMu sync.Mutex
+	restored   map[codecache.Key]uint64
+
 	// evictNotify, when non-nil, observes every explicit specialization
 	// removal after memory and disk both dropped the key (see persist.go);
 	// the dbrewd fleet layer hooks eviction broadcasts here.
@@ -112,7 +119,7 @@ type cachedCode struct {
 
 // NewEngine creates an empty engine.
 func NewEngine() *Engine {
-	return &Engine{Mem: emu.NewMemory(0x10000000)}
+	return &Engine{Mem: emu.NewMemory(0x10000000), restored: make(map[codecache.Key]uint64)}
 }
 
 // EnableCache turns on the specialization code cache: subsequent Rewrite

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -171,11 +172,23 @@ func (e *missingChunksError) Error() string {
 	return fmt.Sprintf("request references %d chunks absent from the chunk store", len(e.hashes))
 }
 
+// placedRegion is what ensureRegions last verified or mapped at a region
+// address: the chunk-hash list of the delta region that arrived there, and
+// its size. Mapped bytes are never unmapped or rewritten by the service, so
+// the record stays true for as long as the address is mapped.
+type placedRegion struct {
+	hashes []string
+	size   int
+}
+
 // materializeRegions rewrites delta-form regions (chunk hash lists) into
-// plain Data regions using the chunk store, ingesting any shipped payloads
-// first. It returns *missingChunksError (the full missing set, so one retry
-// suffices) when reconstruction is incomplete, or a plain error for
-// malformed delta regions (both forms at once, payload/hash mismatch).
+// plain Data regions, ingesting any shipped payloads first. A region whose
+// hash list equals the one last placed at its address takes the mapped bytes
+// as its Data; any other is assembled from the chunk store. It returns
+// *missingChunksError (the full missing set, so one retry suffices) when
+// reconstruction is incomplete, or a plain error for malformed delta regions
+// (both forms at once, payload/hash mismatch). A region assembled from
+// chunks keeps its hash list for ensureRegions to record.
 func (s *Service) materializeRegions(req *Request) error {
 	delta := false
 	for i := range req.Regions {
@@ -204,17 +217,45 @@ func (s *Service) materializeRegions(req *Request) error {
 	}
 	s.deltaRequests.Add(1)
 
-	// Presence pass: gather the complete missing set before touching any
-	// region, so one 412 round trip always suffices and a rejected request
-	// leaves the regions (and the savings counters) untouched.
+	// Regions already placed with the same chunks need neither the store
+	// nor assembly: the mapped bytes are the region.
+	var saved int64
+	s.regionMu.Lock()
+	for i := range req.Regions {
+		rg := &req.Regions[i]
+		p, ok := s.placed[rg.Addr]
+		if len(rg.Chunks) == 0 || !ok ||
+			!slices.EqualFunc(p.hashes, rg.Chunks, func(h string, ch Chunk) bool { return h == ch.Hash }) {
+			continue
+		}
+		view, err := s.eng.Mem.Bytes(rg.Addr, p.size)
+		if err != nil {
+			continue
+		}
+		saved += int64(p.size)
+		for _, ch := range rg.Chunks {
+			saved -= int64(len(ch.Data))
+		}
+		rg.Data, rg.Chunks = view, nil
+	}
+	s.regionMu.Unlock()
+
+	// Presence pass: fetch every chunk before assembling any region, so the
+	// complete missing set goes out in one 412 and a rejected request leaves
+	// the savings counters untouched. Stored payloads are never mutated, so
+	// the fetched slices stay valid even if the store evicts them meanwhile.
+	parts := make([][][]byte, len(req.Regions))
 	var missing []string
 	seen := make(map[string]bool)
-	for i := range req.Regions {
-		for _, ch := range req.Regions[i].Chunks {
-			if _, ok := s.chunks.get(ch.Hash); !ok && !seen[ch.Hash] {
+	for i, rg := range req.Regions {
+		parts[i] = make([][]byte, len(rg.Chunks))
+		for j, ch := range rg.Chunks {
+			data, ok := s.chunks.get(ch.Hash)
+			if !ok && !seen[ch.Hash] {
 				seen[ch.Hash] = true
 				missing = append(missing, ch.Hash)
 			}
+			parts[i][j] = data
 		}
 	}
 	if len(missing) > 0 {
@@ -227,23 +268,21 @@ func (s *Service) materializeRegions(req *Request) error {
 		if len(rg.Chunks) == 0 {
 			continue
 		}
-		var buf []byte
-		var saved int64
-		for _, ch := range rg.Chunks {
-			data, ok := s.chunks.get(ch.Hash)
-			if !ok {
-				// Evicted between the presence pass and here (another
-				// request's inserts); treat like any other miss.
-				s.deltaMisses.Add(1)
-				return &missingChunksError{hashes: []string{ch.Hash}}
-			}
+		size := 0
+		for _, data := range parts[i] {
+			size += len(data)
+		}
+		buf := make([]byte, 0, size)
+		rg.hashes = make([]string, len(rg.Chunks))
+		for j, ch := range rg.Chunks {
 			if len(ch.Data) == 0 {
-				saved += int64(len(data))
+				saved += int64(len(parts[i][j]))
 			}
-			buf = append(buf, data...)
+			buf = append(buf, parts[i][j]...)
+			rg.hashes[j] = ch.Hash
 		}
 		rg.Data, rg.Chunks = buf, nil
-		s.deltaBytesSaved.Add(saved)
 	}
+	s.deltaBytesSaved.Add(saved)
 	return nil
 }

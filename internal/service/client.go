@@ -66,12 +66,34 @@ type Client struct {
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
 
-	// deltaMu guards delta/known: delta snapshots replace each region's
-	// bytes with its content-defined chunk list, omitting payloads the
-	// server acknowledged in an earlier response.
+	// deltaMu guards delta/known/chunked: delta snapshots replace each
+	// region's bytes with its content-defined chunk list, omitting payloads
+	// the server acknowledged in an earlier response. chunked memoizes, per
+	// region address, the chunking of the bytes last sent from there.
 	deltaMu sync.Mutex
 	delta   bool
 	known   map[string]struct{}
+	chunked map[uint64]*chunkedRegion
+}
+
+// chunkedRegion is one region as the client last chunked it. data is a
+// private copy, never the caller's slice, so an in-place edit of the
+// caller's image still differs from it; chunks are slices of data, which is
+// replaced, never overwritten, when the region changes.
+type chunkedRegion struct {
+	data   []byte
+	chunks [][]byte
+	hashes []string
+}
+
+func chunkRegion(data []byte) *chunkedRegion {
+	cr := &chunkedRegion{data: bytes.Clone(data)}
+	cr.chunks = splitChunks(cr.data)
+	cr.hashes = make([]string, len(cr.chunks))
+	for i, ch := range cr.chunks {
+		cr.hashes[i] = chunkHash(ch)
+	}
+	return cr
 }
 
 // EnableDeltaSnapshots switches this client to chunked delta uploads:
@@ -86,12 +108,15 @@ func (c *Client) EnableDeltaSnapshots() {
 	c.delta = true
 	if c.known == nil {
 		c.known = make(map[string]struct{})
+		c.chunked = make(map[uint64]*chunkedRegion)
 	}
 }
 
 // deltaRequest returns a copy of req with every region in delta form, plus
 // the full ordered hash list for post-success bookkeeping. Chunks in force
 // (the server's reported missing set) or never acknowledged carry payloads.
+// A region whose bytes equal the ones last chunked at its address reuses
+// that chunking; any other region is chunked afresh.
 func (c *Client) deltaRequest(req *Request, force map[string]bool) (*Request, []string) {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
@@ -99,15 +124,18 @@ func (c *Client) deltaRequest(req *Request, force map[string]bool) (*Request, []
 	dreq.Regions = make([]Region, len(req.Regions))
 	var hashes []string
 	for i, rg := range req.Regions {
-		chunks := splitChunks(rg.Data)
-		wire := make([]Chunk, len(chunks))
-		for j, data := range chunks {
-			h := chunkHash(data)
+		cr := c.chunked[rg.Addr]
+		if cr == nil || !bytes.Equal(cr.data, rg.Data) {
+			cr = chunkRegion(rg.Data)
+			c.chunked[rg.Addr] = cr
+		}
+		wire := make([]Chunk, len(cr.hashes))
+		for j, h := range cr.hashes {
 			hashes = append(hashes, h)
 			wire[j] = Chunk{Hash: h}
 			_, acked := c.known[h]
 			if force[h] || !acked {
-				wire[j].Data = data
+				wire[j].Data = cr.chunks[j]
 			}
 		}
 		dreq.Regions[i] = Region{Addr: rg.Addr, Chunks: wire}

@@ -8,8 +8,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -230,4 +232,107 @@ func TestDeltaMalformedRegions(t *testing.T) {
 	if !bytes.Equal(honest.Regions[0].Data, data) {
 		t.Fatal("reconstructed region differs from the original bytes")
 	}
+}
+
+// TestDeltaOneByteChangeIsCaught: after a successful delta upload, one byte
+// flipped in place in the caller's slice of any region is still seen, since
+// the client compares against its own copy of what it last chunked. The
+// server that holds the old bytes refuses the edit as a conflict, and a
+// server with nothing at that address receives the changed chunk and
+// specializes to exactly what a plain upload of the edited image gives.
+func TestDeltaOneByteChangeIsCaught(t *testing.T) {
+	w, pristine := newWorkloadSnapshot(t)
+	in := w.SpecInput(bench.Line, bench.Flat, bench.DBrewLLVM)
+	ctx := context.Background()
+	for i := range pristine {
+		regions := make([]Region, len(pristine))
+		for j, rg := range pristine {
+			regions[j] = Region{Addr: rg.Addr, Data: bytes.Clone(rg.Data)}
+		}
+		_, delta := startServer(t, Config{})
+		delta.EnableDeltaSnapshots()
+		if _, err := delta.Specialize(ctx, distinctRequest(in, regions, 4)); err != nil {
+			t.Fatal(err)
+		}
+		old := make(map[string]bool)
+		for _, ch := range splitChunks(pristine[i].Data) {
+			old[chunkHash(ch)] = true
+		}
+		regions[i].Data[len(regions[i].Data)/2] ^= 0xff
+
+		if _, err := delta.Specialize(ctx, distinctRequest(in, regions, 5)); !errors.Is(err, ErrConflict) {
+			t.Fatalf("regions[%d]: edit of a mapped region answered %v, want a conflict", i, err)
+		}
+
+		dreq, _ := delta.deltaRequest(distinctRequest(in, regions, 5), nil)
+		shipped := 0
+		for j, rg := range dreq.Regions {
+			for _, ch := range rg.Chunks {
+				if len(ch.Data) == 0 {
+					continue
+				}
+				if j != i || old[ch.Hash] {
+					t.Fatalf("regions[%d]: edit of regions[%d] ships chunk %s of regions[%d]", i, i, ch.Hash, j)
+				}
+				shipped++
+			}
+		}
+		if shipped == 0 {
+			t.Fatalf("regions[%d]: the edited region ships no new chunk", i)
+		}
+
+		_, _, delta.BaseURL = startServerURL(t, Config{})
+		got, gotErr := delta.Specialize(ctx, distinctRequest(in, regions, 5))
+		_, plain := startServer(t, Config{})
+		want, wantErr := plain.Specialize(ctx, distinctRequest(in, regions, 5))
+		switch {
+		case wantErr != nil:
+			var ga, wa *APIError
+			if !errors.As(gotErr, &ga) || !errors.As(wantErr, &wa) || ga.StatusCode != wa.StatusCode {
+				t.Fatalf("regions[%d]: delta upload answered %v, plain upload %v", i, gotErr, wantErr)
+			}
+		case gotErr != nil:
+			t.Fatalf("regions[%d]: delta upload failed (%v) where a plain upload succeeded", i, gotErr)
+		case !bytes.Equal(got.Code, want.Code):
+			t.Fatalf("regions[%d]: delta upload specialized to different code than a plain upload", i)
+		}
+	}
+}
+
+// TestDeltaConcurrentUploads: two delta clients upload one image from four
+// goroutines each, so the client's chunk memo and the server's record of
+// placed chunks are used at once; every answer equals the plain upload's.
+func TestDeltaConcurrentUploads(t *testing.T) {
+	w, regions := newWorkloadSnapshot(t)
+	in := w.SpecInput(bench.Line, bench.Flat, bench.DBrewLLVM)
+	ctx := context.Background()
+	_, plain := startServer(t, Config{})
+	want, err := plain.Specialize(ctx, distinctRequest(in, regions, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, url := startServerURL(t, Config{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		client := NewClient(url)
+		client.EnableDeltaSnapshots()
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 5; n++ {
+					resp, err := client.Specialize(ctx, distinctRequest(in, regions, 4))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(resp.Code, want.Code) {
+						t.Error("concurrent delta upload specialized to different code")
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

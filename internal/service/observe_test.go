@@ -115,7 +115,7 @@ func TestSpecializeTrace(t *testing.T) {
 	for _, sp := range tr.Spans {
 		seen[sp.Name] = sp.Outcome
 	}
-	for _, want := range []string{"admission", "cache", "rewrite", "decode", "lift", "optimize", "jit"} {
+	for _, want := range []string{"materialize", "regions", "admission", "cache", "rewrite", "decode", "lift", "optimize", "jit"} {
 		if _, ok := seen[want]; !ok {
 			t.Errorf("cold trace missing span %q (got %v)", want, seen)
 		}

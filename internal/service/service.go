@@ -135,8 +135,11 @@ type Service struct {
 	mux *http.ServeMux
 
 	// regionMu serializes snapshot placement (content-addressed reuse vs.
-	// fresh mapping) so concurrent identical uploads cannot race Map.
+	// fresh mapping) so concurrent identical uploads cannot race Map. It
+	// also guards placed, the chunk-hash list of the delta region last
+	// verified or mapped at each address.
 	regionMu sync.Mutex
+	placed   map[uint64]placedRegion
 
 	// slots is the compile-slot semaphore; queued counts requests waiting
 	// for a slot (bounded by QueueDepth); active counts slots in use.
@@ -203,6 +206,7 @@ func New(cfg Config) *Service {
 		slots:  make(chan struct{}, cfg.Workers),
 		ready:  make(chan struct{}),
 		chunks: newChunkStore(cfg.ChunkBytes),
+		placed: make(map[uint64]placedRegion),
 	}
 	s.eng.EnableCache(cfg.CacheCapacity)
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
@@ -484,7 +488,10 @@ func (s *Service) handleSpecialize(w http.ResponseWriter, r *http.Request) {
 func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace, forwarded bool) (*Response, int, string, error) {
 	// Delta-form regions materialize first: validation, placement, key
 	// derivation, and fleet forwarding all want plain bytes.
-	if err := s.materializeRegions(req); err != nil {
+	msp := tr.Start("materialize")
+	err := s.materializeRegions(req)
+	msp.EndErr(err)
+	if err != nil {
 		var mc *missingChunksError
 		if errors.As(err, &mc) {
 			return nil, http.StatusPreconditionFailed, "", err
@@ -528,7 +535,10 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 		return nil, http.StatusGatewayTimeout, "", fmt.Errorf("deadline expired while the cache index was warming: %w", ctx.Err())
 	}
 
-	if err := s.ensureRegions(req.Regions); err != nil {
+	rsp := tr.Start("regions")
+	err = s.ensureRegions(req.Regions)
+	rsp.EndErr(err)
+	if err != nil {
 		return nil, http.StatusConflict, "", err
 	}
 
@@ -677,20 +687,23 @@ func (s *Service) admit(ctx context.Context) (func(), error) {
 // ensureRegions places the request's snapshot into the engine. A region
 // whose address range is already mapped with identical bytes is reused
 // (content-addressed upload dedup — the precondition for request
-// coalescing); different bytes at the same address are a conflict.
+// coalescing); different bytes at the same address are a conflict. A region
+// whose Data is the mapped view itself (materializeRegions found its chunks
+// already placed) needs no comparison. A region assembled from chunks has
+// its hash list recorded once its bytes are verified or mapped.
 func (s *Service) ensureRegions(regions []Region) error {
 	s.regionMu.Lock()
 	defer s.regionMu.Unlock()
 	for _, rg := range regions {
-		existing, err := s.eng.Mem.Read(rg.Addr, len(rg.Data))
-		if err == nil {
-			if !bytes.Equal(existing, rg.Data) {
+		if existing, err := s.eng.Mem.Bytes(rg.Addr, len(rg.Data)); err == nil {
+			if &existing[0] != &rg.Data[0] && !bytes.Equal(existing, rg.Data) {
 				return fmt.Errorf("region at %#x (%d bytes) conflicts with already-uploaded contents", rg.Addr, len(rg.Data))
 			}
-			continue
-		}
-		if _, err := s.eng.Mem.MapBytes(rg.Addr, rg.Data, "service.image"); err != nil {
+		} else if _, err := s.eng.Mem.MapBytes(rg.Addr, rg.Data, "service.image"); err != nil {
 			return fmt.Errorf("region at %#x (%d bytes) overlaps an existing mapping: %w", rg.Addr, len(rg.Data), err)
+		}
+		if rg.hashes != nil {
+			s.placed[rg.Addr] = placedRegion{hashes: rg.hashes, size: len(rg.Data)}
 		}
 	}
 	return nil

@@ -43,6 +43,11 @@ type Region struct {
 	// Chunks is the delta form: the region's chunk sequence. Mutually
 	// exclusive with Data.
 	Chunks []Chunk `json:"chunks,omitempty"`
+
+	// hashes is the chunk-hash list of a delta region the server assembled
+	// from its chunk store, kept for ensureRegions to record; it never
+	// travels.
+	hashes []string
 }
 
 // Chunk is one content-defined chunk of a delta-form region. Hash is the

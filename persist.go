@@ -11,6 +11,7 @@ package dbrewllvm
 // fleet peers (internal/cluster + internal/service wire that up).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -185,8 +186,9 @@ func (e *Engine) RemoveSpecialization(k codecache.Key) bool {
 }
 
 // diskLookup consults the disk store for key inside a cache miss: a valid
-// artifact is placed into a fresh region of the address space and returned
-// as restored cachedCode. tr may be nil.
+// artifact is returned as restored cachedCode, at the address of this key's
+// previous restore when the bytes there still equal the artifact's code, and
+// placed into a fresh region otherwise. tr may be nil.
 func (e *Engine) diskLookup(key codecache.Key, tr *trace.Trace) (cachedCode, bool) {
 	d := e.disk
 	if d == nil {
@@ -206,9 +208,24 @@ func (e *Engine) diskLookup(key codecache.Key, tr *trace.Trace) (cachedCode, boo
 		sp.EndErr(err)
 		return cachedCode{}, false
 	}
-	addr := e.PlaceCode(a.Code, "diskcache.artifact")
+	addr := e.placeRestored(key, a.Code)
 	sp.Int("code_bytes", int64(len(a.Code))).Outcome("hit").End()
 	return cachedCode{addr: addr, codeSize: len(a.Code), stats: stats}, true
+}
+
+// placeRestored returns the address of key's previous restore when the bytes
+// there still equal code, and places code into a fresh region otherwise.
+func (e *Engine) placeRestored(key codecache.Key, code []byte) uint64 {
+	e.restoredMu.Lock()
+	defer e.restoredMu.Unlock()
+	if addr, ok := e.restored[key]; ok {
+		if placed, err := e.Mem.Bytes(addr, len(code)); err == nil && bytes.Equal(placed, code) {
+			return addr
+		}
+	}
+	addr := e.PlaceCode(code, "diskcache.artifact")
+	e.restored[key] = addr
+	return addr
 }
 
 // diskWrite persists a freshly compiled specialization (write-through),

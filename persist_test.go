@@ -10,6 +10,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/codecache"
@@ -267,4 +268,95 @@ func TestArtifactForAndAdopt(t *testing.T) {
 	if has, _ := e2.DiskHas(key); !has {
 		t.Fatal("adopted artifact not written through to disk")
 	}
+}
+
+// TestDiskHitReusesPlacement: a key that falls out of a one-entry memory
+// cache and is restored from disk again reuses the code it placed the first
+// time, so alternating disk hits do not map a region each; bytes overwritten
+// since the last restore force a fresh placement.
+func TestDiskHitReusesPlacement(t *testing.T) {
+	dir := t.TempDir()
+	keys := []func(r *Rewriter){
+		func(r *Rewriter) {},
+		func(r *Rewriter) { r.SetBackend(BackendDBrew) },
+	}
+	e1, fn, buf := diskSetup(t, dir)
+	for _, cfg := range keys {
+		r := newDotRewriter(e1, fn, buf)
+		cfg(r)
+		if _, err := r.Rewrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e, fn, buf := diskSetup(t, dir)
+	e.EnableCache(1)
+	restore := func(k int) uint64 {
+		t.Helper()
+		r := newDotRewriter(e, fn, buf)
+		keys[k](r)
+		addr, err := r.Rewrite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Source != "disk" {
+			t.Fatalf("key %d: Source = %q, want disk", k, r.Source)
+		}
+		if got, err := e.CallF(addr, []uint64{buf}, nil); err != nil || got != 4.5 {
+			t.Fatalf("key %d restored at %#x = %g (%v), want 4.5", k, addr, got, err)
+		}
+		return addr
+	}
+	// The first call maps the machine stack; count regions after it.
+	if got, err := e.CallF(fn, []uint64{buf}, nil); err != nil || got != 4.5 {
+		t.Fatalf("original = %g (%v), want 4.5", got, err)
+	}
+	regions := len(e.Mem.Regions())
+	first := []uint64{restore(0), restore(1)}
+	for round := 1; round < 50; round++ {
+		for k, want := range first {
+			if got := restore(k); got != want {
+				t.Fatalf("round %d: key %d restored at %#x, first at %#x", round, k, got, want)
+			}
+		}
+	}
+	if grown := len(e.Mem.Regions()) - regions; grown > 2 {
+		t.Fatalf("100 disk hits of 2 keys mapped %d regions, want at most 2", grown)
+	}
+	if e.CompileCount() != 0 {
+		t.Fatal("disk hits compiled")
+	}
+
+	// Overwritten code no longer equals the artifact: place it afresh.
+	if err := e.Mem.WriteU(first[0], 1, 0xcc); err != nil {
+		t.Fatal(err)
+	}
+	moved := restore(0)
+	if moved == first[0] {
+		t.Fatal("overwritten placement reused")
+	}
+	restore(1)
+	if got := restore(0); got != moved {
+		t.Fatalf("key 0 restored at %#x after re-placement at %#x", got, moved)
+	}
+
+	// Concurrent restores of both keys agree on the placements.
+	want := []uint64{moved, first[1]}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				k := (g + n) % 2
+				r := newDotRewriter(e, fn, buf)
+				keys[k](r)
+				if addr, err := r.Rewrite(); err != nil || addr != want[k] {
+					t.Errorf("key %d: Rewrite = %#x, %v; want %#x", k, addr, err, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
