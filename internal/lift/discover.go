@@ -16,6 +16,47 @@ type machBlock struct {
 	fall uint64
 	// branch is the direct branch target (0 if none).
 	branch uint64
+	// dead[k] holds the flags insts[k] writes that no path reads before
+	// they are written again (see flagLiveness).
+	dead []x86.FlagSet
+}
+
+// flagLiveness records in every block the flags each instruction writes
+// that are dead after it: a backward fixed point over the fall and branch edges, with
+// each instruction's effect taken from x86's flag table. ret reads no flag
+// and a call writes all six, so nothing is live across either; a branch out
+// of the function, which translate rejects, keeps every flag live.
+func flagLiveness(mbs []*machBlock) {
+	liveIn := make(map[uint64]x86.FlagSet, len(mbs))
+	succ := func(addr uint64) x86.FlagSet {
+		if addr == 0 {
+			return 0
+		}
+		if in, ok := liveIn[addr]; ok {
+			return in
+		}
+		return x86.AllFlags
+	}
+	for _, mb := range mbs {
+		liveIn[mb.start] = 0
+		mb.dead = make([]x86.FlagSet, len(mb.insts))
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := len(mbs) - 1; i >= 0; i-- {
+			mb := mbs[i]
+			live := succ(mb.fall) | succ(mb.branch)
+			for k := len(mb.insts) - 1; k >= 0; k-- {
+				read, written := mb.insts[k].FlagEffects()
+				mb.dead[k] = written &^ live
+				live = live&^written | read
+			}
+			if live != liveIn[mb.start] {
+				liveIn[mb.start] = live
+				changed = true
+			}
+		}
+	}
 }
 
 // discover decodes the function at entry into basic blocks, implementing

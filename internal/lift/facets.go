@@ -89,7 +89,8 @@ func gprFacetOfSize(size uint8) Facet {
 	return FI64
 }
 
-// flag indices into the state's flag array.
+// flag indices into the state's flag array; flag i is bit i of an
+// x86.FlagSet.
 const (
 	fCF = iota
 	fPF
@@ -128,6 +129,11 @@ type state struct {
 	xmm  [16]map[Facet]ir.Value
 	flag [numFlags]ir.Value
 	fc   flagCache
+	// dead holds the flags the instruction being translated writes that no
+	// later instruction reads before they are written again. Its zero value
+	// means all live, so only the function lifter, which runs flagLiveness,
+	// skips flag IR.
+	dead x86.FlagSet
 	// pending has bit g set while entry group g (see groupGPR) still holds
 	// its block-entry value and has no phi. Only machine block states have
 	// pending groups; blk receives the phis they create.
@@ -242,6 +248,16 @@ func (s *state) readFlag(i int) ir.Value {
 func (s *state) setFlag(i int, v ir.Value) {
 	s.pending &^= 1 << uint(groupFlag+i)
 	s.flag[i] = v
+}
+
+// clobberDead sets the dead flags the current instruction writes to undef,
+// so a written flag nothing reads carries no IR.
+func (s *state) clobberDead() {
+	for i, d := 0, s.dead; d != 0; i, d = i+1, d>>1 {
+		if d&1 != 0 {
+			s.setFlag(i, ir.UndefOf(ir.I1))
+		}
+	}
 }
 
 // killFlags invalidates the flag cache; callers must also set flag values.

@@ -5,33 +5,47 @@ import (
 	"repro/internal/x86"
 )
 
-// setArithFlags computes the six status flags for an add- or sub-family
+// setArithFlags computes the status flags of w for an add- or sub-family
 // instruction, following Section III.D of the paper: zero/sign/carry via
 // integer comparisons, overflow via the bitwise xor/and/slt pattern
 // (Figure 6b), parity via the ctpop intrinsic, and auxiliary carry via
-// bitwise operations.
-func (l *Lifter) setArithFlags(s *state, isSub bool, a, b, res ir.Value) {
+// bitwise operations. A flag dead after the instruction gets no IR.
+func (l *Lifter) setArithFlags(s *state, w x86.FlagSet, isSub bool, a, b, res ir.Value) {
 	ty := res.Type()
 	zero := ir.Int(ty, 0)
-	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
-	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
-	if isSub {
-		s.setFlag(fCF, l.b.ICmp(ir.PredULT, a, b))
-		// OF = (a^b) & (a^res) has the sign bit set.
-		t1 := l.b.Xor(a, b)
-		t2 := l.b.Xor(a, res)
-		s.setFlag(fOF, l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero))
-	} else {
-		s.setFlag(fCF, l.b.ICmp(ir.PredULT, res, a))
-		// OF = ~(a^b) & (a^res) has the sign bit set.
-		t1 := l.b.Xor(a, res)
-		t2 := l.b.Xor(b, res)
+	w &^= s.dead
+	if w&x86.FlagZF != 0 {
+		s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
+	}
+	if w&x86.FlagSF != 0 {
+		s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
+	}
+	if w&x86.FlagCF != 0 {
+		if isSub {
+			s.setFlag(fCF, l.b.ICmp(ir.PredULT, a, b))
+		} else {
+			s.setFlag(fCF, l.b.ICmp(ir.PredULT, res, a))
+		}
+	}
+	if w&x86.FlagOF != 0 {
+		var t1, t2 ir.Value
+		if isSub {
+			// OF = (a^b) & (a^res) has the sign bit set.
+			t1, t2 = l.b.Xor(a, b), l.b.Xor(a, res)
+		} else {
+			// OF = ~(a^b) & (a^res) has the sign bit set.
+			t1, t2 = l.b.Xor(a, res), l.b.Xor(b, res)
+		}
 		s.setFlag(fOF, l.b.ICmp(ir.PredSLT, l.b.And(t1, t2), zero))
 	}
-	s.setFlag(fPF, l.parityFlag(res))
-	// AF = bit 4 of a^b^res.
-	ax := l.b.Xor(l.b.Xor(a, b), res)
-	s.setFlag(fAF, l.b.ICmp(ir.PredNE, l.b.And(ax, ir.Int(ty, 0x10)), zero))
+	if w&x86.FlagPF != 0 {
+		s.setFlag(fPF, l.parityFlag(res))
+	}
+	if w&x86.FlagAF != 0 {
+		// AF = bit 4 of a^b^res.
+		ax := l.b.Xor(l.b.Xor(a, b), res)
+		s.setFlag(fAF, l.b.ICmp(ir.PredNE, l.b.And(ax, ir.Int(ty, 0x10)), zero))
+	}
 	// The flag cache preserves the semantics of cmp/sub for later
 	// conditions (Figure 6); other flag writers invalidate it.
 	if isSub {
@@ -46,29 +60,36 @@ func (l *Lifter) setArithFlags(s *state, isSub bool, a, b, res ir.Value) {
 // equivalent to comparing the result against zero, so the flag cache is
 // seeded with (res, 0).
 func (l *Lifter) setLogicFlags(s *state, res ir.Value) {
-	ty := res.Type()
-	zero := ir.Int(ty, 0)
-	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
-	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
+	zero := ir.Int(res.Type(), 0)
+	l.setResultFlags(s, res)
 	s.setFlag(fCF, ir.Bool(false))
 	s.setFlag(fOF, ir.Bool(false))
 	s.setFlag(fAF, ir.Bool(false))
-	s.setFlag(fPF, l.parityFlag(res))
 	s.fc = flagCache{valid: true, a: res, b: zero}
 }
 
 // setResultFlagsOnly sets ZF/SF/PF from a result and leaves CF/OF undefined
-// (shifts, imul), invalidating the flag cache.
+// (adc, sbb, imul), invalidating the flag cache.
 func (l *Lifter) setResultFlagsOnly(s *state, res ir.Value) {
-	ty := res.Type()
-	zero := ir.Int(ty, 0)
-	s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
-	s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
-	s.setFlag(fPF, l.parityFlag(res))
+	l.setResultFlags(s, res)
 	s.setFlag(fCF, ir.UndefOf(ir.I1))
 	s.setFlag(fOF, ir.UndefOf(ir.I1))
 	s.setFlag(fAF, ir.UndefOf(ir.I1))
 	s.fc = flagCache{}
+}
+
+// setResultFlags sets the live ones of ZF/SF/PF from a result.
+func (l *Lifter) setResultFlags(s *state, res ir.Value) {
+	zero := ir.Int(res.Type(), 0)
+	if s.dead&x86.FlagZF == 0 {
+		s.setFlag(fZF, l.b.ICmp(ir.PredEQ, res, zero))
+	}
+	if s.dead&x86.FlagSF == 0 {
+		s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
+	}
+	if s.dead&x86.FlagPF == 0 {
+		s.setFlag(fPF, l.parityFlag(res))
+	}
 }
 
 // parityFlag computes PF: even parity of the low byte, via llvm.ctpop.i8.

@@ -202,6 +202,7 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 		return mbs[i].start < mbs[j].start
 	})
 
+	flagLiveness(mbs)
 	lifts := make([]*blockLift, len(mbs))
 	byAddr := make(map[uint64]*blockLift, len(mbs))
 	for i, mb := range mbs {
@@ -229,9 +230,11 @@ func (l *Lifter) liftBlocks(addr uint64, name string, sig abi.Signature, mbs []*
 		s := bl.st
 		for k := range bl.mb.insts {
 			in := &bl.mb.insts[k]
+			s.dead = bl.mb.dead[k]
 			if err := l.translate(s, in, sig); err != nil {
 				return nil, err
 			}
+			s.clobberDead()
 		}
 		// Fall-through edge if the block did not end in a terminator.
 		if bl.irb.Term() == nil {

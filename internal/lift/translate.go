@@ -81,7 +81,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		} else {
 			res = b.Add(a, c)
 		}
-		l.setArithFlags(s, isSub, a, c, res)
+		l.setArithFlags(s, x86.AllFlags, isSub, a, c, res)
 		if in.Op == x86.CMP {
 			// Record pointer facets of both operands so equality/unsigned
 			// conditions compare pointers (one induction chain, not two).
@@ -158,23 +158,22 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.NEG:
 		a := l.readIntOperand(s, in, in.Dst)
 		res := b.Sub(ir.Int(a.Type(), 0), a)
-		l.setArithFlags(s, true, ir.Int(a.Type(), 0), a, res)
+		l.setArithFlags(s, x86.AllFlags, true, ir.Int(a.Type(), 0), a, res)
 		s.fc = flagCache{} // CF differs from plain sub semantics
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
 	case x86.INC, x86.DEC:
+		// Like an add or sub of 1, but CF keeps its incoming value.
 		a := l.readIntOperand(s, in, in.Dst)
 		one := ir.Int(a.Type(), 1)
-		cf := s.readFlag(fCF) // preserved by inc/dec
+		isSub := in.Op == x86.DEC
 		var res ir.Value
-		if in.Op == x86.INC {
-			res = b.Add(a, one)
-			l.setArithFlags(s, false, a, one, res)
-		} else {
+		if isSub {
 			res = b.Sub(a, one)
-			l.setArithFlags(s, true, a, one, res)
+		} else {
+			res = b.Add(a, one)
 		}
-		s.setFlag(fCF, cf)
+		l.setArithFlags(s, x86.AllFlags&^x86.FlagCF, isSub, a, one, res)
 		s.fc = flagCache{}
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
@@ -231,40 +230,26 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		return nil
 
 	case x86.SHL, x86.SHR, x86.SAR:
-		a := l.readIntOperand(s, in, in.Dst)
-		var cnt ir.Value
-		if in.Src.Kind == x86.KImm {
-			cnt = ir.Int(a.Type(), uint64(in.Src.Imm))
-		} else {
-			cl := l.readGPRFacet(s, x86.RCX, FI8)
-			cnt = b.And(b.ZExt(cl, a.Type()), ir.Int(a.Type(), uint64(a.Type().Bits-1)))
-		}
-		var res ir.Value
-		switch in.Op {
-		case x86.SHL:
-			res = b.Shl(a, cnt)
-		case x86.SHR:
-			res = b.LShr(a, cnt)
-		case x86.SAR:
-			res = b.AShr(a, cnt)
-		}
-		l.setResultFlagsOnly(s, res)
-		l.writeIntOperand(s, in, in.Dst, res, nil)
-		return nil
+		return l.translateShift(s, in)
 	case x86.ROL, x86.ROR:
-		a := l.readIntOperand(s, in, in.Dst)
-		bits := uint64(a.Type().Bits)
 		if in.Src.Kind != x86.KImm {
 			return facetErr(in, "variable rotate is not supported")
 		}
-		n := uint64(in.Src.Imm) % bits
-		var res ir.Value
-		if in.Op == x86.ROL {
+		a := l.readIntOperand(s, in, in.Dst)
+		bits := uint64(a.Type().Bits)
+		cnt := in.ShiftCount()
+		res := a
+		if n := cnt % bits; n != 0 && in.Op == x86.ROL {
 			res = b.Or(b.Shl(a, ir.Int(a.Type(), n)), b.LShr(a, ir.Int(a.Type(), bits-n)))
-		} else {
+		} else if n != 0 {
 			res = b.Or(b.LShr(a, ir.Int(a.Type(), n)), b.Shl(a, ir.Int(a.Type(), bits-n)))
 		}
-		s.setFlagsUndef()
+		if cnt != 0 {
+			// ZF, SF, PF and AF keep their values.
+			s.setFlag(fCF, ir.UndefOf(ir.I1))
+			s.setFlag(fOF, ir.UndefOf(ir.I1))
+			s.fc = flagCache{}
+		}
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
 
@@ -343,6 +328,104 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		return facetErr(in, "xchg with memory is not supported")
 	}
 	return l.translateSSE(s, in)
+}
+
+// translateShift lowers shl, shr and sar. The count is masked as the
+// hardware masks it. A non-zero count defines CF as the last bit shifted
+// out, OF when it is 1 and ZF/SF/PF from the result; a zero count changes no
+// flag. A count in CL is known only at run time, so each live flag selects
+// between its old value and its new one.
+func (l *Lifter) translateShift(s *state, in *x86.Inst) error {
+	b := l.b
+	a := l.readIntOperand(s, in, in.Dst)
+	ty := a.Type()
+	bits := uint64(ty.Bits)
+	imm := in.Src.Kind == x86.KImm
+	n := in.ShiftCount()
+	if imm && n == 0 {
+		l.writeIntOperand(s, in, in.Dst, a, nil)
+		return nil
+	}
+	// The IR leaves a shift by the operand width or more undefined, and a
+	// masked count reaches it for 8- and 16-bit operands: shift those in
+	// i32.
+	widen := bits < 32 && (!imm || n >= bits)
+	wty, aw := ty, a
+	if widen && in.Op == x86.SAR {
+		wty, aw = ir.I32, b.SExt(a, ir.I32)
+	} else if widen {
+		wty, aw = ir.I32, b.ZExt(a, ir.I32)
+	}
+	mask := ir.Int(wty, uint64(wty.Bits-1))
+	var cnt ir.Value = ir.Int(wty, n)
+	if !imm {
+		cnt = b.And(b.ZExt(l.readGPRFacet(s, x86.RCX, FI8), wty), mask)
+	}
+	var resW ir.Value
+	switch in.Op {
+	case x86.SHL:
+		resW = b.Shl(aw, cnt)
+	case x86.SHR:
+		resW = b.LShr(aw, cnt)
+	default:
+		resW = b.AShr(aw, cnt)
+	}
+	res := resW
+	if widen {
+		res = b.Trunc(resW, ty)
+	}
+
+	_, written := in.FlagEffects()
+	live := written &^ s.dead
+	var keep ir.Value // a CL count of 0 keeps every flag
+	if !imm && live != 0 {
+		keep = b.ICmp(ir.PredEQ, cnt, ir.Int(wty, 0))
+	}
+	set := func(i int, v ir.Value) {
+		if keep != nil {
+			v = b.Select(keep, s.readFlag(i), v)
+		}
+		s.setFlag(i, v)
+	}
+	zero := ir.Int(ty, 0)
+	if live&x86.FlagZF != 0 {
+		set(fZF, b.ICmp(ir.PredEQ, res, zero))
+	}
+	if live&x86.FlagSF != 0 {
+		set(fSF, b.ICmp(ir.PredSLT, res, zero))
+	}
+	if live&x86.FlagPF != 0 {
+		set(fPF, l.parityFlag(res))
+	}
+	if live&x86.FlagCF != 0 {
+		// out holds the last bit shifted out in bit 0. A CL count of 0
+		// selects the old CF, and masking keeps its shift amount in range.
+		var out ir.Value
+		switch {
+		case in.Op == x86.SHL && widen:
+			out = b.LShr(resW, ir.Int(wty, bits))
+		case in.Op == x86.SHL && imm:
+			out = b.LShr(a, ir.Int(ty, bits-n))
+		case in.Op == x86.SHL:
+			out = b.LShr(a, b.And(b.Sub(ir.Int(ty, bits), cnt), mask))
+		case imm:
+			out = b.LShr(aw, ir.Int(wty, n-1))
+		default:
+			out = b.LShr(aw, b.And(b.Sub(cnt, ir.Int(wty, 1)), mask))
+		}
+		set(fCF, b.ICmp(ir.PredNE, b.And(out, ir.Int(wty, 1)), ir.Int(wty, 0)))
+	}
+	if live&x86.FlagOF != 0 {
+		// OF = the sign bit changed; a CL count other than 1 keeps it.
+		of := b.ICmp(ir.PredSLT, b.Xor(res, a), zero)
+		if !imm {
+			of = b.Select(b.ICmp(ir.PredEQ, cnt, ir.Int(wty, 1)), of, s.readFlag(fOF))
+		}
+		s.setFlag(fOF, of)
+	}
+	s.fc = flagCache{}
+	l.writeIntOperand(s, in, in.Dst, res, nil)
+	return nil
 }
 
 // matchWidth adapts an immediate operand's type to the computation type
