@@ -119,6 +119,8 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage for ./internal/lift is $$pct%, below the 70% gate"; exit 1; fi
 
-# Short live fuzz of the differential harness on top of the pinned corpus.
+# Short live fuzz of the differential harness on top of the pinned corpus,
+# and of the assembler's layout and placement against a direct encoding.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=30s ./internal/crosstest
+	$(GO) test -run='^$$' -fuzz=FuzzLayoutPlace -fuzztime=10s ./internal/x86/asm

@@ -368,18 +368,14 @@ func (w *Workload) driverFor(v *Variant) (uint64, error) {
 	} else {
 		buildDriver4(b, v.Entry)
 	}
-	// Provisional sizing pass: assemble near the call target so the rel32
-	// range check cannot fire regardless of where the allocator is.
-	code, _, err := b.Assemble(v.Entry)
+	size, err := b.Layout(v.Entry)
 	if err != nil {
 		return 0, err
 	}
-	region := w.Mem.Alloc(len(code), 16, "bench.driver")
-	code, _, err = b.Assemble(region.Start)
-	if err != nil {
+	region := w.Mem.Alloc(size, 16, "bench.driver")
+	if err := b.Place(region.Data, region.Start); err != nil {
 		return 0, err
 	}
-	copy(region.Data, code)
 	return region.Start, nil
 }
 

@@ -184,21 +184,19 @@ func (r *Rewriter) rewriteOnce() (uint64, error) {
 			return 0, err
 		}
 	}
-	// Assemble at a provisional base to measure, then into the real buffer.
-	probe, _, err := e.b.Assemble(0x1000000)
+	// Encode once to learn the size, then place straight into the buffer.
+	size, err := e.b.Layout(0x1000000)
 	if err != nil {
 		return 0, fmt.Errorf("dbrew: assembly failed: %w", err)
 	}
-	if len(probe) > bufSize {
-		return 0, fmt.Errorf("%w (%d > %d)", ErrBufferTooSmall, len(probe), bufSize)
+	if size > bufSize {
+		return 0, fmt.Errorf("%w (%d > %d)", ErrBufferTooSmall, size, bufSize)
 	}
-	region := r.mem.Alloc(len(probe), 16, "dbrew.code")
-	code, _, err := e.b.Assemble(region.Start)
-	if err != nil {
+	region := r.mem.Alloc(size, 16, "dbrew.code")
+	if err := e.b.Place(region.Data, region.Start); err != nil {
 		return 0, err
 	}
-	copy(region.Data, code)
-	r.Stats.CodeSize = len(code)
+	r.Stats.CodeSize = size
 	return region.Start, nil
 }
 

@@ -632,8 +632,9 @@ func bindShift(in *x86.Inst) execFn {
 			res = v >> cnt
 			m.Flags.CF = v>>(cnt-1)&1 != 0
 		case x86.SAR:
-			res = uint64(signExtend(v, sz) >> cnt)
-			m.Flags.CF = v>>(cnt-1)&1 != 0
+			sv := signExtend(v, sz) // CF is the sign bit once cnt >= width
+			res = uint64(sv >> cnt)
+			m.Flags.CF = sv>>(cnt-1)&1 != 0
 		}
 		m.setResultFlags(res, sz)
 		if cnt == 1 {

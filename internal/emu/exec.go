@@ -396,8 +396,11 @@ func (m *Machine) exec(in *x86.Inst) error {
 			res = v >> cnt
 			m.Flags.CF = v>>(cnt-1)&1 != 0
 		case x86.SAR:
-			res = uint64(signExtend(v, in.Dst.Size) >> cnt)
-			m.Flags.CF = v>>(cnt-1)&1 != 0
+			// The last bit shifted out is the sign bit once cnt reaches
+			// the operand width, so CF reads the sign-extended value.
+			sv := signExtend(v, in.Dst.Size)
+			res = uint64(sv >> cnt)
+			m.Flags.CF = sv>>(cnt-1)&1 != 0
 		case x86.ROL:
 			c := cnt % uint64(width)
 			res = v<<c | v>>(uint64(width)-c)

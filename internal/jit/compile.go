@@ -166,23 +166,27 @@ func (c *Compiler) Compile(f *ir.Func) (uint64, error) {
 		}
 	}
 
-	// Two-pass assembly: measure at a provisional base, then place.
+	// Lower once, encode once, patch at placement: isel and encoding run a
+	// single time, then the code is copied to its region and only the
+	// base-dependent rel32 fields are rewritten. The layout base matters
+	// only to a MovLabel immediate, which the JIT never emits.
+	b, err := c.lowerFunc(f)
+	if err != nil {
+		return 0, err
+	}
 	const provisional = 0x10000000
-	e, err := c.emitFunc(f, provisional, 0)
+	size, err := b.Layout(provisional)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("jit: %s: %w", f.Nam, err)
 	}
-	region := c.Mem.Alloc(len(e), 16, "jitcode."+c.NamePrefix+f.Nam)
-	final, err := c.emitFunc(f, region.Start, region.Start)
-	if err != nil {
-		return 0, err
+	region := c.Mem.Alloc(size, 16, "jitcode."+c.NamePrefix+f.Nam)
+	// Place fails if an encoding's length differs from its layout, so the
+	// code size cannot change between layout and placement unnoticed.
+	if err := b.Place(region.Data, region.Start); err != nil {
+		return 0, fmt.Errorf("jit: %s: %w", f.Nam, err)
 	}
-	if len(final) > len(region.Data) {
-		return 0, fmt.Errorf("jit: code size changed between passes (%d -> %d)", len(e), len(final))
-	}
-	copy(region.Data, final)
 	c.entries[f] = region.Start
-	c.Sizes[region.Start] = len(final)
+	c.Sizes[region.Start] = size
 	return region.Start, nil
 }
 
@@ -192,9 +196,10 @@ func (c *Compiler) Entry(f *ir.Func) (uint64, bool) {
 	return a, ok
 }
 
-// emitFunc assembles the whole function at the given base. selfAddr is the
-// final address used for recursive calls (0 during the sizing pass).
-func (c *Compiler) emitFunc(f *ir.Func, base, selfAddr uint64) ([]byte, error) {
+// lowerFunc runs fusion analysis, register allocation and instruction
+// selection over f once and returns the unplaced instruction stream. A
+// self-recursive call targets the entry label, bound at offset 0.
+func (c *Compiler) lowerFunc(f *ir.Func) (*asm.Builder, error) {
 	var al *allocation
 	if c.Baseline {
 		al = baselineAllocate(f)
@@ -203,24 +208,21 @@ func (c *Compiler) emitFunc(f *ir.Func, base, selfAddr uint64) ([]byte, error) {
 		al = allocate(f, fused)
 	}
 	em := &emitter{
-		c:        c,
-		f:        f,
-		alloc:    al,
-		b:        asm.NewBuilder(),
-		labels:   make(map[*ir.Block]asm.Label),
-		selfAddr: selfAddr,
+		c:      c,
+		f:      f,
+		alloc:  al,
+		b:      asm.NewBuilder(),
+		labels: make(map[*ir.Block]asm.Label),
 	}
+	em.entry = em.b.NewLabel()
+	em.b.Bind(em.entry)
 	for _, blk := range f.Blocks {
 		em.labels[blk] = em.b.NewLabel()
 	}
 	if err := em.run(); err != nil {
 		return nil, fmt.Errorf("jit: %s: %w", f.Nam, err)
 	}
-	code, _, err := em.b.Assemble(base)
-	if err != nil {
-		return nil, fmt.Errorf("jit: %s: %w", f.Nam, err)
-	}
-	return code, nil
+	return em.b, nil
 }
 
 // splitCriticalEdges inserts forwarding blocks so that every block with

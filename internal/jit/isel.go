@@ -10,12 +10,12 @@ import (
 
 // emitter lowers one function to machine code.
 type emitter struct {
-	c        *Compiler
-	f        *ir.Func
-	alloc    *allocation
-	b        *asm.Builder
-	labels   map[*ir.Block]asm.Label
-	selfAddr uint64
+	c      *Compiler
+	f      *ir.Func
+	alloc  *allocation
+	b      *asm.Builder
+	labels map[*ir.Block]asm.Label
+	entry  asm.Label // bound at offset 0, the target of self-recursive calls
 
 	frame     int32
 	frameless bool

@@ -819,11 +819,10 @@ func (e *emitter) emitSelect(in *ir.Inst) error {
 }
 
 func (e *emitter) emitCall(in *ir.Inst) error {
+	self := in.Callee == e.f
 	target, ok := e.c.entries[in.Callee]
-	if !ok {
-		if in.Callee == e.f {
-			target = e.selfAddr
-		} else if in.Callee.Addr != 0 && len(in.Callee.Blocks) == 0 {
+	if !ok && !self {
+		if in.Callee.Addr != 0 && len(in.Callee.Blocks) == 0 {
 			target = in.Callee.Addr
 		} else {
 			return fmt.Errorf("call target %s unresolved", in.Callee.Nam)
@@ -858,7 +857,11 @@ func (e *emitter) emitCall(in *ir.Inst) error {
 	if err := e.parallelMoves(moves); err != nil {
 		return err
 	}
-	e.b.Call(target)
+	if self {
+		e.b.CallLabel(e.entry)
+	} else {
+		e.b.Call(target)
+	}
 	if in.Ty != ir.Void {
 		if classOf(in.Ty) == classXMM {
 			e.writeBackXMM(in, x86.XMM0)

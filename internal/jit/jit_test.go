@@ -76,6 +76,61 @@ func TestCompileLoopSum(t *testing.T) {
 	}
 }
 
+// TestCompileSelfRecursiveCall: a function that calls itself is compiled
+// before its own address is known, so the call must target the entry label
+// and land on the function's first byte once placed.
+func TestCompileSelfRecursiveCall(t *testing.T) {
+	// sum(n) = n == 0 ? 0 : n + sum(n-1)
+	f := ir.NewFunc("sum", ir.I64, ir.I64)
+	b := ir.NewBuilder(f)
+	base := f.NewBlock("base")
+	rec := f.NewBlock("rec")
+	b.CondBr(b.ICmp(ir.PredEQ, f.Params[0], ir.Int(ir.I64, 0)), base, rec)
+	b.SetBlock(base)
+	b.Ret(ir.Int(ir.I64, 0))
+	b.SetBlock(rec)
+	r := b.Call(f, b.Sub(f.Params[0], ir.Int(ir.I64, 1)))
+	b.Ret(b.Add(f.Params[0], r))
+
+	mem := emu.NewMemory(0x1000000)
+	c := NewCompiler(mem)
+	entry, err := c.Compile(f)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, ir.FormatFunc(f))
+	}
+	for _, n := range []uint64{0, 1, 2, 10, 50} {
+		got, err := emu.NewMachine(mem).Call(entry, emu.CallArgs{Ints: []uint64{n}}, 1_000_000)
+		if err != nil {
+			t.Fatalf("sum(%d): %v", n, err)
+		}
+		if got != n*(n+1)/2 {
+			t.Errorf("sum(%d) = %d, want %d", n, got, n*(n+1)/2)
+		}
+	}
+
+	code, err := mem.Bytes(entry, c.Sizes[entry])
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for off := 0; off < len(code); {
+		in, err := x86.Decode(code[off:], entry+uint64(off))
+		if err != nil {
+			t.Fatalf("decode at +%#x: %v", off, err)
+		}
+		if in.Op == x86.CALL {
+			calls++
+			if tgt, ok := in.BranchTarget(); !ok || tgt != entry {
+				t.Errorf("call at +%#x targets %#x, want the entry %#x", off, tgt, entry)
+			}
+		}
+		off += in.Len
+	}
+	if calls != 1 {
+		t.Errorf("%d calls in the code, want 1", calls)
+	}
+}
+
 func TestCompileFloatKernel(t *testing.T) {
 	// out = a*x + y with doubles.
 	f := ir.NewFunc("axpy", ir.Double, ir.Double, ir.Double, ir.Double)

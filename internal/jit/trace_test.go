@@ -214,6 +214,43 @@ func TestTraceBudgetCutoff(t *testing.T) {
 	}
 }
 
+// TestTraceSarCarryIsSignBit: an 8- or 16-bit sar by at least the operand
+// width shifts the sign bit out into CF. The loop below runs only while that
+// holds, counting the carries in rax, so every engine must keep looping until
+// the budget ends it, and agree on the state at every cutoff, including the
+// ones that land right after a sar and materialize its flags.
+func TestTraceSarCarryIsSignBit(t *testing.T) {
+	code := assembleAt(t, 0x5000, func(b *asm.Builder) {
+		b.I(x86.MOV, x86.R64(x86.RBX), x86.Imm(0x8080, 8)) // dl and dx negative
+		b.I(x86.MOV, x86.R64(x86.RAX), x86.Imm(0, 8))
+		b.I(x86.MOV, x86.R64(x86.R8), x86.Imm(0, 8))
+		loop := b.NewLabel()
+		b.Bind(loop)
+		b.I(x86.MOV, x86.R32(x86.RDX), x86.R32(x86.RBX))
+		b.I(x86.SAR, x86.R8L(x86.RDX), x86.Imm(9, 1))
+		b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondB, Dst: x86.R8L(x86.R8)})
+		b.I(x86.ADD, x86.R64(x86.RAX), x86.R64(x86.R8))
+		b.I(x86.SAR, x86.RegOp(x86.RDX, 2), x86.Imm(20, 1))
+		b.Jcc(x86.CondB, loop)
+		b.Ret()
+	})
+	const budget = 200
+	full := runSnippet(t, code, modeInterp, budget, nil)
+	if !strings.Contains(full.errMsg, "instruction budget") || full.gpr[x86.RAX] < budget/6-1 {
+		t.Fatalf("the loop left after %d carries (%q): sar did not carry the sign bit", full.gpr[x86.RAX], full.errMsg)
+	}
+	before := emu.ReadTraceStats()
+	for b := uint64(1); b <= budget; b++ {
+		ref := runSnippet(t, code, modeInterp, b, nil)
+		diffStates(t, "sar blocks", ref, runSnippet(t, code, modeBlocks, b, nil), modeInterp, modeBlocks)
+		diffStates(t, "sar traces", ref, runSnippet(t, code, modeTraces, b, nil), modeInterp, modeTraces)
+		diffStates(t, "sar trace VM", ref, runSnippetVM(t, code, b, nil), modeInterp, modeTraces)
+	}
+	if emu.ReadTraceStats().Iters == before.Iters {
+		t.Fatal("no trace iterations recorded")
+	}
+}
+
 // TestTraceBudgetCutoffGenerated repeats the sweep on a generated program
 // (seed 7, the one the block-engine budget test uses).
 func TestTraceBudgetCutoffGenerated(t *testing.T) {

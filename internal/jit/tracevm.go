@@ -382,9 +382,12 @@ func (p *vmProg) takeExit(m *emu.Machine, idx int32, slots []uint64) (uint64, ui
 		f.AF = slots[fs[2]] != 0
 		width := uint64(st.W) * 8
 		cnt := uint64(st.ShiftCnt)
-		if st.ShiftOp == x86.SHL {
+		switch st.ShiftOp {
+		case x86.SHL:
 			f.CF = cnt <= width && v>>(width-cnt)&1 != 0
-		} else {
+		case x86.SAR: // the sign bit once cnt reaches the width
+			f.CF = vsext(v, st.W)>>(cnt-1)&1 != 0
+		default:
 			f.CF = v>>(cnt-1)&1 != 0
 		}
 		if cnt == 1 {

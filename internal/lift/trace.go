@@ -815,12 +815,16 @@ func (l *traceLifter) matFlagOf(st flagState, i int) ir.Value {
 			return af
 		case fCF:
 			cnt := uint(st.cnt)
-			if st.op == x86.SHL {
+			switch st.op {
+			case x86.SHL:
 				if cnt > width {
 					return ir.Bool(false)
 				}
 				return l.b.ICmp(ir.PredNE,
 					l.b.And(l.b.LShr(v, ir.Int(ir.I64, uint64(width-cnt))), ir.Int(ir.I64, 1)), zero)
+			case x86.SAR: // the sign bit once cnt reaches the width
+				return l.b.ICmp(ir.PredNE,
+					l.b.And(l.b.AShr(l.sext64(v, st.w), ir.Int(ir.I64, uint64(cnt-1))), ir.Int(ir.I64, 1)), zero)
 			}
 			return l.b.ICmp(ir.PredNE,
 				l.b.And(l.b.LShr(v, ir.Int(ir.I64, uint64(cnt-1))), ir.Int(ir.I64, 1)), zero)

@@ -2,13 +2,18 @@
 // encoder. It is used to author the "compiled" input corpus, by the DBrew
 // encoder, and by the JIT backend.
 //
-// Labels are resolved with a two-pass assembly: because the encoder always
-// emits rel32 branches, instruction lengths are independent of final label
-// values, so the second pass simply patches target addresses.
+// Code is generated once and placed once. Layout encodes each instruction a
+// single time and records a fixup for every instruction whose bytes depend on
+// where the code lands; Place copies the bytes to their final address and
+// patches those fixups. Because the encoder always emits rel32 branches, no
+// instruction's length depends on label values, so placing a branch only
+// rewrites its 4-byte displacement.
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/x86"
 )
@@ -26,11 +31,25 @@ type item struct {
 	target Label
 }
 
+// fixup marks a laid-out instruction whose bytes depend on the base: the
+// item it encodes, and its offset and length in the laid-out code.
+type fixup struct {
+	item, off, n int
+}
+
 // Builder accumulates instructions and labels and assembles them to machine
 // code at a chosen base address.
 type Builder struct {
 	items  []item
 	nlabel int
+
+	// Results of the last Layout: the code encoded at its size base, each
+	// label's offset (-1 while unbound), the base-dependent instructions,
+	// and the item count laid out (-1 after a failed Layout).
+	code     []byte
+	labelOff []int
+	fixups   []fixup
+	laidOut  int
 }
 
 // NewBuilder returns an empty Builder.
@@ -91,79 +110,123 @@ func (b *Builder) CallLabel(lbl Label) {
 func (b *Builder) Ret() { b.I(x86.RET) }
 
 // MovLabel emits "mov r64, imm" whose immediate is the absolute address of
-// lbl, resolved at Assemble time. It is how subjects build jump tables and
+// lbl, resolved at Place time. It is how subjects build jump tables and
 // computed-goto targets at runtime without knowing layout in advance.
 func (b *Builder) MovLabel(r x86.Reg, lbl Label) {
 	b.items = append(b.items, item{inst: x86.Inst{Op: x86.MOV, Dst: x86.R64(r), Src: x86.Imm(0, 8)}, target: lbl})
 }
 
-// Assemble encodes the instruction stream at the given base address and
-// returns the machine code plus the address of every bound label.
-func (b *Builder) Assemble(base uint64) ([]byte, map[Label]uint64, error) {
-	// Pass 1: compute instruction offsets (lengths are label-independent
-	// because branches are fixed-size rel32 forms).
-	offsets := make([]uint64, len(b.items))
-	labelAddr := make(map[Label]uint64)
-	pc := base
-	for i, it := range b.items {
-		offsets[i] = pc
-		if it.isLabel {
-			labelAddr[it.label] = pc
-			continue
-		}
-		enc, err := x86.EncodeInst(patchedForSizing(it.inst, it.target >= 0, pc), pc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("asm: pass1 item %d: %w", i, err)
-		}
-		pc += uint64(len(enc))
+// Layout encodes every instruction once, as if the code started at sizeBase,
+// and returns the code size. It records each label's offset and one fixup
+// per base-dependent instruction: the rel32 JMP, JCC and CALL (to a label or
+// to an absolute target) and MovLabel. Branches are always rel32, so no
+// instruction's length depends on where the code is placed; only a MovLabel
+// immediate can change length, and Place reports that as drift. Layout fails
+// on an instruction the encoder rejects and on a branch to an unbound label.
+func (b *Builder) Layout(sizeBase uint64) (int, error) {
+	b.laidOut = -1
+	b.labelOff = make([]int, b.nlabel)
+	for i := range b.labelOff {
+		b.labelOff[i] = -1
 	}
-	// Pass 2: emit with resolved targets.
-	e := x86.NewEncoder(base)
+	b.fixups = b.fixups[:0]
+	e := x86.NewEncoder(sizeBase)
+	e.Buf = make([]byte, 0, 4*len(b.items))
 	for i, it := range b.items {
 		if it.isLabel {
+			b.labelOff[it.label] = len(e.Buf)
 			continue
 		}
 		in := it.inst
-		if it.target >= 0 {
-			addr, ok := labelAddr[it.target]
-			if !ok {
-				return nil, nil, fmt.Errorf("asm: unbound label %d", it.target)
-			}
-			if in.Op == x86.MOV {
-				in.Src = x86.Imm(int64(addr), 8)
-			} else {
-				in.Dst = x86.Imm(int64(addr), 8)
-			}
+		rel32 := in.Op == x86.JMP || in.Op == x86.JCC || in.Op == x86.CALL
+		if rel32 {
+			// Encode against the instruction's own address, so the range
+			// check cannot fire; Place writes the real displacement.
+			in.Dst = x86.Imm(int64(e.PC), 8)
+		} else if it.target >= 0 {
+			// MovLabel: size with a same-neighbourhood immediate.
+			in.Src = x86.Imm(int64(e.PC), 8)
 		}
+		off := len(e.Buf)
 		if err := e.Encode(in); err != nil {
-			return nil, nil, fmt.Errorf("asm: pass2 item %d: %w", i, err)
+			return 0, fmt.Errorf("asm: item %d: %w", i, err)
+		}
+		if rel32 || it.target >= 0 {
+			b.fixups = append(b.fixups, fixup{item: i, off: off, n: len(e.Buf) - off})
 		}
 	}
-	// Label addresses were computed from pass-1 lengths; a pass-2 encoding
-	// that drifted (e.g. a MovLabel immediate crossing the imm32 boundary)
-	// would silently corrupt every later target.
-	if uint64(len(e.Buf)) != pc-base {
-		return nil, nil, fmt.Errorf("asm: pass2 emitted %d bytes, pass1 sized %d (encoding length drifted)",
-			len(e.Buf), pc-base)
+	for _, f := range b.fixups {
+		if t := b.items[f.item].target; t >= 0 && b.labelOff[t] < 0 {
+			return 0, fmt.Errorf("asm: unbound label %d", t)
+		}
 	}
-	return e.Buf, labelAddr, nil
+	b.code = e.Buf
+	b.laidOut = len(b.items)
+	return len(b.code), nil
 }
 
-// patchedForSizing replaces not-yet-resolved branch targets with the
-// instruction's own neighbourhood so pass-1 encoding cannot fail on rel32
-// range checks when assembling at a high base address. Lengths stay correct
-// because branches are always encoded in their fixed-size rel32 forms.
-func patchedForSizing(in x86.Inst, hasLabel bool, pc uint64) x86.Inst {
-	if !hasLabel {
-		return in
+// Place writes the laid-out code into dst as placed at base: it copies the
+// encoded bytes and patches each fixup. A rel32 field is rewritten in place;
+// a MovLabel is encoded again with the label's address, and must keep the
+// length Layout gave it. dst must hold at least the size Layout returned.
+func (b *Builder) Place(dst []byte, base uint64) error {
+	if b.laidOut != len(b.items) {
+		return fmt.Errorf("asm: Place without a Layout of the current items")
 	}
-	switch in.Op {
-	case x86.JMP, x86.JCC, x86.CALL:
-		in.Dst = x86.Imm(int64(pc), 8)
-	case x86.MOV:
-		// MovLabel: size with a same-neighbourhood immediate so the mov
-		// picks the same encoding length in both passes.
-		in.Src = x86.Imm(int64(pc), 8)
+	if len(dst) < len(b.code) {
+		return fmt.Errorf("asm: placing %d bytes of code into %d", len(b.code), len(dst))
 	}
-	return in
+	copy(dst, b.code)
+	for _, f := range b.fixups {
+		it := &b.items[f.item]
+		pc := base + uint64(f.off)
+		target := uint64(it.inst.Dst.Imm)
+		if it.target >= 0 {
+			target = base + uint64(b.labelOff[it.target])
+		}
+		if it.inst.Op == x86.MOV {
+			in := it.inst
+			in.Src = x86.Imm(int64(target), 8)
+			enc, err := x86.EncodeInst(in, pc)
+			if err != nil {
+				return fmt.Errorf("asm: item %d: %w", f.item, err)
+			}
+			// Every later offset was computed from the laid-out length.
+			if len(enc) != f.n {
+				return fmt.Errorf("asm: item %d: code size changed: placed in %d bytes, laid out in %d (encoding length drifted)",
+					f.item, len(enc), f.n)
+			}
+			copy(dst[f.off:], enc)
+			continue
+		}
+		end := pc + uint64(f.n)
+		rel := int64(target) - int64(end)
+		if rel < math.MinInt32 || rel > math.MaxInt32 {
+			in := it.inst
+			in.Dst = x86.Imm(int64(target), 8)
+			return fmt.Errorf("asm: item %d: x86: encode %v: %w", f.item, in, x86.ErrRel32Range)
+		}
+		binary.LittleEndian.PutUint32(dst[f.off+f.n-4:], uint32(rel))
+	}
+	return nil
+}
+
+// Assemble lays the instruction stream out and places it at base, returning
+// the machine code plus the address of every bound label.
+func (b *Builder) Assemble(base uint64) ([]byte, map[Label]uint64, error) {
+	n, err := b.Layout(base)
+	if err != nil {
+		return nil, nil, err
+	}
+	code := make([]byte, n)
+	if err := b.Place(code, base); err != nil {
+		return nil, nil, err
+	}
+	labelAddr := make(map[Label]uint64, len(b.labelOff))
+	for l, off := range b.labelOff {
+		if off >= 0 {
+			labelAddr[Label(l)] = base + uint64(off)
+		}
+	}
+	return code, labelAddr, nil
 }

@@ -2,8 +2,13 @@ package x86
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// ErrRel32Range reports a JMP, JCC or CALL whose target is more than
+// ±2 GiB away from the end of the instruction.
+var ErrRel32Range = errors.New("branch target out of rel32 range")
 
 // Encoder assembles instructions into x86-64 machine code. Instructions are
 // appended to Buf; PC tracks the virtual address of the next instruction so
@@ -334,7 +339,7 @@ func (e *Encoder) encode(in Inst) error {
 		end := e.PC + uint64(len(header)) + 4
 		rel := int64(target) - int64(end)
 		if rel < -(1<<31) || rel > (1<<31)-1 {
-			return fmt.Errorf("branch target out of rel32 range")
+			return ErrRel32Range
 		}
 		e.Buf = append(e.Buf, header...)
 		e.Buf = append(e.Buf, le32(uint32(rel))...)
