@@ -122,7 +122,7 @@ func (b *Builder) MovLabel(r x86.Reg, lbl Label) {
 // to an absolute target) and MovLabel. Branches are always rel32, so no
 // instruction's length depends on where the code is placed; only a MovLabel
 // immediate can change length, and Place reports that as drift. Layout fails
-// on an instruction the encoder rejects and on a branch to an unbound label.
+// on an instruction the encoder rejects and on a use of an unbound label.
 func (b *Builder) Layout(sizeBase uint64) (int, error) {
 	b.laidOut = -1
 	b.labelOff = make([]int, b.nlabel)
