@@ -67,7 +67,8 @@ race-trace-native:
 # Persistence + fleet suite fresh under the race detector: two in-process
 # nodes, 32 concurrent identical requests, the exactly-one-compile
 # assertion, warm restarts, eviction broadcasts, and peer degradation —
-# plus the disk store's crash/corruption battery.
+# plus the disk store's crash/corruption battery, with and without a
+# compaction racing the traffic.
 race-cluster:
 	$(GO) test -race -count=1 -run 'TwoNode|FleetEviction|KilledPeer|WarmRestart|Warming|WarmFailure|Artifact|Delta' ./internal/service
 	$(GO) test -race -count=1 ./internal/diskcache/... ./internal/cluster/...
@@ -120,7 +121,9 @@ cover:
 		echo "coverage for ./internal/lift is $$pct%, below the 70% gate"; exit 1; fi
 
 # Short live fuzz of the differential harness on top of the pinned corpus,
-# and of the assembler's layout and placement against a direct encoding.
+# of the assembler's layout and placement against a direct encoding, and of
+# the artifact store's Open and Get over arbitrary segment bytes.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=30s ./internal/crosstest
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutPlace -fuzztime=10s ./internal/x86/asm
+	$(GO) test -run='^$$' -fuzz=FuzzStoreOpen -fuzztime=10s ./internal/diskcache

@@ -1,9 +1,10 @@
 package diskcache
 
-// Crash/corruption-safety suite (one of the PR's satellite tasks): torn
-// writes, truncation, bit flips, concurrent writers and readers, and
-// kill-between-write-and-rename must all checksum-reject and read as misses
-// — never as wrong data and never as a crash. Run with -race.
+// Crash/corruption-safety suite: torn appends, truncation, bit flips,
+// foreign records, concurrent writers and readers (with and without a
+// compaction under them), and leftovers of the file-per-key layout must all
+// read as misses — never as wrong data and never as a crash — and stay
+// misses across a reopen. Run with -race.
 
 import (
 	"bytes"
@@ -36,6 +37,73 @@ func openT(t *testing.T, dir string, maxBytes int64) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// recordOf returns where k's indexed record lies.
+func recordOf(t *testing.T, s *Store, k codecache.Key) (path string, off, n int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.index[k]
+	if !ok {
+		t.Fatalf("key %v not indexed", k)
+	}
+	e := el.Value.(*diskEntry)
+	return e.seg.path, e.off, e.n
+}
+
+// writeAt overwrites bytes of a file in place, the way disk damage would.
+func writeAt(t *testing.T, path string, b []byte, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readAt(t *testing.T, path string, off, n int64) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, n)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// dirUsage returns the number of directory entries and their total size.
+func dirUsage(t *testing.T, dir string) (files int, bytes int64) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += info.Size()
+	}
+	return len(des), bytes
+}
+
+// forceCompact runs a compaction now, whatever the dead bytes.
+func forceCompact(t *testing.T, s *Store) {
+	t.Helper()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.compact(); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -90,12 +158,13 @@ func TestTruncatedArtifactRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, 1<<20)
 	k := keyOf(7)
-	if err := s.Put(k, artifactOf(256, 0x11)); err != nil {
+	want := artifactOf(256, 0x11)
+	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, k.String()+fileExt)
-	// Truncate mid-payload: the checksum no longer matches.
-	if err := os.Truncate(path, headerSize+100); err != nil {
+	path, off, _ := recordOf(t, s, k)
+	// Truncate mid-payload: the read comes up short.
+	if err := os.Truncate(path, off+headerSize+100); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(k); ok {
@@ -105,15 +174,22 @@ func TestTruncatedArtifactRejected(t *testing.T) {
 	if st.Corruptions != 1 {
 		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt file not deleted")
+	if s.Contains(k) {
+		t.Fatal("corrupt record still indexed")
 	}
-	// Recompile-and-Put heals the slot.
-	if err := s.Put(k, artifactOf(256, 0x11)); err != nil {
+	// The tombstone keeps the damaged record out of a restarted index.
+	if _, ok := openT(t, dir, 1<<20).Get(k); ok {
+		t.Fatal("truncated artifact served after reopen")
+	}
+	// Recompile-and-Put heals the slot, also across a reopen.
+	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(k); !ok {
 		t.Fatal("healed artifact not served")
+	}
+	if got, ok := openT(t, dir, 1<<20).Get(k); !ok || !bytes.Equal(got.Code, want.Code) {
+		t.Fatal("healed artifact not served after reopen")
 	}
 }
 
@@ -124,62 +200,85 @@ func TestBitFlippedPayloadRejected(t *testing.T) {
 	if err := s.Put(k, artifactOf(512, 0x22)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, k.String()+fileExt)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[headerSize+300] ^= 0x01 // single bit flip deep in the code section
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path, off, _ := recordOf(t, s, k)
+	// Single bit flip deep in the code section.
+	at := off + headerSize + 300
+	writeAt(t, path, []byte{readAt(t, path, at, 1)[0] ^ 0x01}, at)
 	if _, ok := s.Get(k); ok {
 		t.Fatal("bit-flipped artifact served as valid")
 	}
 	if st := s.Stats(); st.Corruptions != 1 || st.Misses != 1 {
 		t.Fatalf("stats after bit flip: %v", st)
 	}
+	// After a reopen the tombstone, not a second checksum failure, keeps
+	// the record out.
+	s2 := openT(t, dir, 1<<20)
+	if _, ok := s2.Get(k); ok {
+		t.Fatal("bit-flipped artifact served after reopen")
+	}
+	if st := s2.Stats(); st.Corruptions != 0 || st.Entries != 0 {
+		t.Fatalf("stats after reopen: %v", st)
+	}
 }
 
 func TestHeaderTooShortRejectedAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	k := keyOf(3)
-	// A file shorter than the header cannot be anything but corrupt.
-	if err := os.WriteFile(filepath.Join(dir, k.String()+fileExt), []byte("short"), 0o644); err != nil {
+	k0, k := keyOf(4), keyOf(3)
+	// A segment whose last record is shorter than a header: the record
+	// before it is intact, the tail cannot be anything but a torn append.
+	seg := append(Encode(k0, artifactOf(16, 0x01)), Encode(k, artifactOf(16, 0x02))[:headerSize-4]...)
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := openT(t, dir, 1<<20)
-	if s.Len() != 0 {
-		t.Fatal("sub-header file indexed")
-	}
-	if st := s.Stats(); st.Corruptions != 1 {
-		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
+	for reopen := 0; reopen < 2; reopen++ {
+		s := openT(t, dir, 1<<20)
+		if s.Len() != 1 || s.Contains(k) {
+			t.Fatalf("open %d: sub-header record indexed (len %d)", reopen, s.Len())
+		}
+		if st := s.Stats(); st.Corruptions != 1 {
+			t.Fatalf("open %d: corruptions = %d, want 1", reopen, st.Corruptions)
+		}
+		if _, ok := s.Get(k0); !ok {
+			t.Fatalf("open %d: intact record before the torn tail lost", reopen)
+		}
 	}
 }
 
 func TestKillBetweenWriteAndRenameSwept(t *testing.T) {
 	dir := t.TempDir()
 	k := keyOf(5)
-	// Simulate a writer that died after writing its temp file but before the
-	// rename: a complete, valid encoding under a temp name.
+	// The file-per-key layout of earlier versions: a writer that died after
+	// writing its temp file but before the rename left a complete, valid
+	// encoding under a temp name, next to a committed <key>.art file.
 	tmpPath := filepath.Join(dir, k.String()+".tmp123456")
-	if err := os.WriteFile(tmpPath, Encode(k, artifactOf(64, 0x33)), 0o644); err != nil {
-		t.Fatal(err)
+	artPath := filepath.Join(dir, keyOf(6).String()+".art")
+	for _, p := range []string{tmpPath, artPath} {
+		if err := os.WriteFile(p, Encode(k, artifactOf(64, 0x33)), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := openT(t, dir, 1<<20)
-	if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
-		t.Fatal("stale tmp file survived Open")
+	for _, p := range []string{tmpPath, artPath} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("legacy file %s survived Open", filepath.Base(p))
+		}
 	}
-	// The key reads as a miss (the write never committed), and a fresh Put
-	// works normally.
+	// Neither key is visible: both recompile once. A fresh Put works
+	// normally and persists.
 	if _, ok := s.Get(k); ok {
 		t.Fatal("uncommitted artifact visible")
+	}
+	if _, ok := s.Get(keyOf(6)); ok {
+		t.Fatal("legacy artifact visible")
 	}
 	if err := s.Put(k, artifactOf(64, 0x33)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(k); !ok {
 		t.Fatal("Put after sweep failed")
+	}
+	if _, ok := openT(t, dir, 1<<20).Get(k); !ok {
+		t.Fatal("Put after sweep lost across reopen")
 	}
 }
 
@@ -190,17 +289,30 @@ func TestWrongKeyFileRejected(t *testing.T) {
 	if err := s.Put(k1, artifactOf(64, 0x44)); err != nil {
 		t.Fatal(err)
 	}
-	// Rename k1's (internally consistent) file over k2's slot: the embedded
-	// key disagrees with the file name, so it must not serve for k2.
-	if err := os.Rename(filepath.Join(dir, k1.String()+fileExt), filepath.Join(dir, k2.String()+fileExt)); err != nil {
+	if err := s.Put(k2, artifactOf(64, 0x45)); err != nil {
 		t.Fatal(err)
+	}
+	// Copy k1's (internally consistent) record over k2's: the embedded key
+	// disagrees with the key it is indexed under, so it must not serve for
+	// k2.
+	p1, off1, n1 := recordOf(t, s, k1)
+	p2, off2, n2 := recordOf(t, s, k2)
+	if n1 != n2 {
+		t.Fatalf("record lengths %d and %d differ", n1, n2)
+	}
+	writeAt(t, p2, readAt(t, p1, off1, n1), off2)
+	if _, ok := s.Get(k2); ok {
+		t.Fatal("foreign record served")
+	}
+	if st := s.Stats(); st.Corruptions != 1 {
+		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
 	}
 	s2 := openT(t, dir, 1<<20)
 	if _, ok := s2.Get(k2); ok {
-		t.Fatal("cross-key renamed artifact served")
+		t.Fatal("foreign record served after reopen")
 	}
-	if st := s2.Stats(); st.Corruptions != 1 {
-		t.Fatalf("corruptions = %d, want 1", st.Corruptions)
+	if a, ok := s2.Get(k1); !ok || a.Code[0] != 0x44 {
+		t.Fatal("k1 lost across reopen")
 	}
 }
 
@@ -228,9 +340,14 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	if _, ok := s.Get(keys[4]); !ok {
 		t.Fatal("newest artifact evicted")
 	}
-	// The evicted file is gone from disk, not just the index.
-	if _, err := os.Stat(filepath.Join(dir, keys[0].String()+fileExt)); !os.IsNotExist(err) {
-		t.Fatal("evicted artifact file still on disk")
+	// The evicted artifact stays evicted across a reopen under the same
+	// bound.
+	s2 := openT(t, dir, 3*1100)
+	if _, ok := s2.Get(keys[0]); ok {
+		t.Fatal("evicted artifact back after reopen")
+	}
+	if _, ok := s2.Get(keys[4]); !ok {
+		t.Fatal("newest artifact lost across reopen")
 	}
 }
 
@@ -265,8 +382,9 @@ func TestRemove(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("removed artifact still served")
 	}
-	if _, err := os.Stat(filepath.Join(dir, k.String()+fileExt)); !os.IsNotExist(err) {
-		t.Fatal("removed artifact file still on disk")
+	s2 := openT(t, dir, 1<<20)
+	if _, ok := s2.Get(k); ok || s2.Len() != 0 {
+		t.Fatal("removed artifact served after reopen")
 	}
 }
 

@@ -19,15 +19,15 @@ func RegisterMetrics(reg *trace.Registry, prefix string, snapshot func() (Stats,
 			return float64(field(grab()))
 		})
 	}
-	counter("hits_total", "Artifact reads served from a valid disk file.",
+	counter("hits_total", "Artifact reads served from a valid disk record.",
 		func(s Stats) int64 { return s.Hits })
-	counter("misses_total", "Artifact reads that found no valid file.",
+	counter("misses_total", "Artifact reads that found no valid record.",
 		func(s Stats) int64 { return s.Misses })
 	counter("writes_total", "Artifacts persisted to disk.",
 		func(s Stats) int64 { return s.Writes })
 	counter("evictions_total", "Artifacts dropped by the byte-capacity bound.",
 		func(s Stats) int64 { return s.Evictions })
-	counter("corruptions_total", "Artifact files rejected by checksum/structure validation and deleted.",
+	counter("corruptions_total", "Artifact records rejected by checksum/structure validation and dropped.",
 		func(s Stats) int64 { return s.Corruptions })
 	reg.Gauge(prefix+"_entries", "Artifacts currently stored on disk.",
 		func() float64 { return float64(grab().Entries) })

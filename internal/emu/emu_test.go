@@ -333,7 +333,7 @@ func TestMemoryMapBelowBrkKeepsRegionsSorted(t *testing.T) {
 			t.Fatalf("step %d: a map inside %#x succeeded", i, a.Start)
 		}
 	}
-	// An empty region sharing its start with a mapped one sorts after it; a
+	// An empty region sharing its start with a mapped one sorts before it; a
 	// map into the mapped one's middle must still be refused.
 	if _, err := mem.Map(0x80000, 0, "empty"); err != nil {
 		t.Fatal(err)

@@ -110,11 +110,16 @@ func (m *Memory) Map(start uint64, size int, name string) (*Region, error) {
 func (m *Memory) mapLocked(start uint64, size int, name string) (*Region, error) {
 	r := &Region{Start: start, Data: make([]byte, size), Name: name}
 	old := m.loadRegions()
-	// r goes after every region starting at or below it. Only its neighbours
-	// can overlap it: the first region to its right, and the regions to its
-	// left back to the first non-empty one that starts below it (the set is
+	// r goes after every region starting below it and, unless r is empty,
+	// after those starting at its address: an empty region sorts before a
+	// region starting where it does, so End never decreases along the slice
+	// and find and noteCode can binary-search on it. Only r's neighbours can
+	// overlap it: the first region to its right, and the regions to its left
+	// back to the first non-empty one that starts below it (the set is
 	// disjoint, so nothing further left reaches r).
-	i := sort.Search(len(old), func(i int) bool { return old[i].Start > r.Start })
+	i := sort.Search(len(old), func(i int) bool {
+		return old[i].Start > r.Start || (size == 0 && old[i].Start == r.Start)
+	})
 	overlap := func(o *Region) error {
 		if r.Start < o.End() && o.Start < r.End() {
 			return fmt.Errorf("emu: mapping %q [%#x,%#x) overlaps %q", name, r.Start, r.End(), o.Name)
@@ -223,12 +228,14 @@ func (m *Memory) Tail(addr uint64, max int) ([]byte, error) {
 
 // noteCode marks every region overlapping [start, end) as code-bearing, so
 // subsequent writes into it bump the code generation. Called by machines
-// when they translate a block.
+// when they translate a block. It visits only the overlapping regions: the
+// first one ending past start, as find locates it, up to the first one
+// starting at or past end.
 func (m *Memory) noteCode(start, end uint64) {
-	for _, r := range m.loadRegions() {
-		if start < r.End() && r.Start < end {
-			r.watch.Store(true)
-		}
+	regions := m.loadRegions()
+	i := sort.Search(len(regions), func(i int) bool { return regions[i].End() > start })
+	for ; i < len(regions) && regions[i].Start < end; i++ {
+		regions[i].watch.Store(true)
 	}
 }
 

@@ -81,8 +81,8 @@ func statsFromMeta(meta []byte) (dbrew.Stats, error) {
 // compiles write through to it — so a process restarted over the same
 // directory serves previously compiled specializations without recompiling.
 // maxBytes bounds the total stored payload with LRU eviction (<= 0 selects
-// diskcache.DefaultMaxBytes). Corrupt files are checksum-rejected, deleted,
-// and recompiled; they can never surface as wrong code.
+// diskcache.DefaultMaxBytes). Corrupt records are checksum-rejected,
+// dropped, and recompiled; they can never surface as wrong code.
 //
 // The disk level requires the in-memory cache; if EnableCache has not been
 // called yet, it is enabled with its default capacity. Like EnableCache,
@@ -95,14 +95,20 @@ func (e *Engine) EnableDiskCache(dir string, maxBytes int64) error {
 	if e.cache == nil {
 		e.cache = codecache.New[cachedCode](0)
 	}
+	if e.disk != nil {
+		e.disk.Close()
+	}
 	e.disk = store
 	e.wireRemoveHook()
 	return nil
 }
 
-// DisableDiskCache detaches the disk store; files already written remain on
-// disk for a later EnableDiskCache over the same directory.
+// DisableDiskCache detaches and closes the disk store; artifacts already
+// written remain on disk for a later EnableDiskCache over the same directory.
 func (e *Engine) DisableDiskCache() {
+	if e.disk != nil {
+		e.disk.Close()
+	}
 	e.disk = nil
 	e.wireRemoveHook()
 }

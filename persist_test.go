@@ -8,12 +8,14 @@ package dbrewllvm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/codecache"
+	"repro/internal/diskcache"
 )
 
 // diskSetup is cacheSetup plus a disk level over dir. The allocation order
@@ -144,8 +146,14 @@ func TestRemoveSpecializationEvictsAllLevels(t *testing.T) {
 	if has, _ := e.DiskHas(key); has {
 		t.Fatal("disk level still holds the removed key")
 	}
-	if _, err := os.Stat(filepath.Join(dir, key.String()+".art")); !os.IsNotExist(err) {
-		t.Fatal("removed artifact file still on disk")
+	// The removal is on disk too: a store reopened over the directory does
+	// not index the key.
+	if reopened, err := diskcache.Open(dir, 1<<20); err != nil {
+		t.Fatal(err)
+	} else if reopened.Contains(key) {
+		t.Fatal("removed artifact back after reopen")
+	} else {
+		reopened.Close()
 	}
 	if len(notified) != 1 || notified[0] != key.String() {
 		t.Fatalf("eviction notifier saw %v, want exactly [%s]", notified, key)
@@ -179,15 +187,7 @@ func TestDiskCorruptionRecompilesIdentical(t *testing.T) {
 	key, _ := r1.CacheKey()
 
 	// Flip one bit in the persisted payload.
-	path := filepath.Join(dir, key.String()+".art")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipLastRecordByte(t, dir, key)
 
 	// The restarted process rejects the artifact and recompiles.
 	e2, fn2, buf2 := diskSetup(t, dir)
@@ -209,6 +209,38 @@ func TestDiskCorruptionRecompilesIdentical(t *testing.T) {
 	if has, _ := e2.DiskHas(key); !has {
 		t.Fatal("recompile did not write the artifact back")
 	}
+}
+
+// flipLastRecordByte flips a bit in the last payload byte of key's artifact
+// record, wherever in the store's log files under dir it lies.
+func flipLastRecordByte(t *testing.T, dir string, key codecache.Key) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		path := filepath.Join(dir, de.Name())
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A record is "DBRWART1", a checksum, the key, three section lengths.
+		i := bytes.Index(raw, key[:])
+		if i < 16 || string(raw[i-16:i-8]) != "DBRWART1" || len(raw) < i+28 {
+			continue
+		}
+		end := i + 28
+		for j := 0; j < 3; j++ {
+			end += int(binary.LittleEndian.Uint32(raw[i+16+4*j:]))
+		}
+		raw[end-1] ^= 0x40
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no record of %v under %s", key, dir)
 }
 
 // TestArtifactForAndAdopt: the fleet primitives — exporting an artifact
