@@ -58,11 +58,14 @@ race-trace:
 # adds no unsynchronized state. TestTraceNativeFP* is the scalar SSE2
 # battery: the per-op operand table, FP deopts and budget sweeps, the
 # no-progress retirement rule, and (in internal/bench) the Sec. VI line
-# kernels on all four engines plus their trace-engagement pin. On hosts
-# without the native backend the same tests run the traces on the VM.
+# kernels on all four engines plus their trace-engagement pin. TestTraceCall
+# is the battery of traces through calls and returns, and the crosstest
+# call-loop sweep and corpus pin run the generated call loops through them.
+# On hosts without the native backend the same tests run the traces on the VM.
 race-trace-native:
-	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly|TestTraceReanchor|TestTraceAbortReasons' ./internal/jit
+	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly|TestTraceReanchor|TestTraceAbortReasons|TestTraceCall' ./internal/jit
 	$(GO) test -race -count=1 -run 'TestTraceNativeFP' ./internal/bench
+	$(GO) test -race -count=1 -run 'TestDifferentialCallLoop|TestFuzzCorpusEngagesCallTraces' ./internal/crosstest
 
 # Persistence + fleet suite fresh under the race detector: two in-process
 # nodes, 32 concurrent identical requests, the exactly-one-compile

@@ -78,7 +78,8 @@ type Engine struct {
 	// disk, when non-nil, is the persistent second cache level installed by
 	// EnableDiskCache (see persist.go). It sits behind the in-memory cache:
 	// misses consult it before compiling, compiles write through to it.
-	disk *diskcache.Store
+	// Atomic so the counter readers (DiskStats) may race a DisableDiskCache.
+	disk atomic.Pointer[diskcache.Store]
 
 	// restored remembers, per key, where diskLookup last placed that key's
 	// artifact, so a key that falls out of the memory level and is restored
@@ -696,7 +697,7 @@ func (r *Rewriter) optimize(addr uint64, tr *trace.Trace) (uint64, string, error
 	cfg.Trace = tr
 	opt.Optimize(f, cfg)
 	var irText string
-	if r.eng.disk != nil {
+	if r.eng.disk.Load() != nil {
 		// The persisted artifact carries the optimized IR for debuggability;
 		// only pay the formatting cost when something will store it.
 		irText = ir.FormatFunc(f)

@@ -44,6 +44,11 @@ const (
 	// coefficient from memory and accumulates — the loop shape the trace
 	// tier compiles with its XMM lane model.
 	FeatFPLoop
+	// FeatCallLoop emits the per-element call idiom: a counted loop that
+	// calls a generated leaf placed after the function's ret; the leaf
+	// saves and restores a callee-saved register around its work — the
+	// loop shape whose trace runs through the call and the return.
+	FeatCallLoop
 )
 
 // Program is one generated test program.
@@ -80,6 +85,8 @@ type gen struct {
 	fpLive int
 	depth  int
 	mask   Feature
+	// leaves are emitted after the function's ret, in order.
+	leaves []func()
 }
 
 // Generate builds a random program from the seed with no optional features.
@@ -124,6 +131,9 @@ func GenerateWithMask(seed int64, mask Feature) (*Program, error) {
 		}
 	}
 	g.b.Ret()
+	for _, leaf := range g.leaves {
+		leaf()
+	}
 
 	code, _, err := g.b.Assemble(0x400000)
 	if err != nil {
@@ -147,7 +157,7 @@ func (g *gen) scratchOp(size uint8) x86.Operand {
 // mapping from random index to shape is stable per mask.
 func (g *gen) features() []Feature {
 	var fs []Feature
-	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop, FeatFPLoop} {
+	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop, FeatFPLoop, FeatCallLoop} {
 		if g.mask&f != 0 {
 			fs = append(fs, f)
 		}
@@ -171,6 +181,8 @@ func (g *gen) emitChunk(fp bool) {
 			g.emitAdjacentLoops()
 		case FeatFPLoop:
 			g.emitFPLoop()
+		case FeatCallLoop:
+			g.emitCallLoop()
 		}
 		return
 	}
@@ -443,6 +455,62 @@ func (g *gen) emitFPLoop() {
 	g.b.I(x86.SUB, x86.R64(x86.R10), x86.Imm(1, 8))
 	g.b.Jcc(x86.CondNE, loop)
 	g.b.I(x86.MOVSD_X, x86.MemBD(8, x86.RDX, base), x86.X(x86.XMM4))
+}
+
+// emitCallLoop appends a counted loop whose body calls a leaf and folds
+// nothing else in: the leaf saves a callee-saved register, computes in it
+// from a live register with two or three ALU steps, stores the value to the
+// scratch buffer, adds it into a live register, and restores the saved one.
+// Every random draw happens here; the leaf is emitted after the function's
+// ret. Eight or more iterations: the return site, a backward target, heats
+// first and its recording aborts at the call, yet under RunNative's
+// thresholds the loop head's trace still compiles and retires iterations.
+// r10 is the counter; the leaf touches neither it nor rdx.
+func (g *gen) emitCallLoop() {
+	saved := []x86.Reg{x86.RBX, x86.R12, x86.R13, x86.R14, x86.R15}[g.r.Intn(5)]
+	src, dst := g.pick(), g.pick()
+	type step struct {
+		op  x86.Op
+		reg x86.Reg
+		imm int64
+	}
+	steps := make([]step, 2+g.r.Intn(2))
+	ops := []x86.Op{x86.ADD, x86.XOR, x86.IMUL3, x86.SHR, x86.LEA}
+	for i := range steps {
+		steps[i] = step{ops[g.r.Intn(len(ops))], g.pick(), int64(g.r.Intn(60) + 1)}
+	}
+	off := int32(8 * g.r.Intn((ScratchSize-16)/8))
+	iters := int64(8 + g.r.Intn(8))
+
+	leaf := g.b.NewLabel()
+	g.b.I(x86.MOV, x86.R64(x86.R10), x86.Imm(iters, 8))
+	loop := g.b.NewLabel()
+	g.b.Bind(loop)
+	g.b.CallLabel(leaf)
+	g.b.I(x86.SUB, x86.R64(x86.R10), x86.Imm(1, 8))
+	g.b.Jcc(x86.CondNE, loop)
+
+	g.leaves = append(g.leaves, func() {
+		g.b.Bind(leaf)
+		g.b.I(x86.PUSH, x86.R64(saved))
+		g.b.I(x86.MOV, x86.R64(saved), x86.R64(src))
+		for _, st := range steps {
+			switch st.op {
+			case x86.IMUL3:
+				g.b.I(x86.IMUL3, x86.R64(saved), x86.R64(st.reg), x86.Imm(st.imm, 8))
+			case x86.SHR:
+				g.b.I(x86.SHR, x86.R64(saved), x86.Imm(st.imm%31+1, 1))
+			case x86.LEA:
+				g.b.I(x86.LEA, x86.R64(saved), x86.MemBIS(8, saved, st.reg, 2, int32(st.imm)))
+			default:
+				g.b.I(st.op, x86.R64(saved), x86.R64(st.reg))
+			}
+		}
+		g.b.I(x86.MOV, x86.MemBD(8, x86.RDX, off), x86.R64(saved))
+		g.b.I(x86.ADD, x86.R64(dst), x86.R64(saved))
+		g.b.I(x86.POP, x86.R64(saved))
+		g.b.Ret()
+	})
 }
 
 // Place loads the program into a fresh memory image with a scratch buffer

@@ -496,6 +496,32 @@ func TestDifferentialFPLoop(t *testing.T) {
 	}
 }
 
+// TestDifferentialCallLoop sweeps the call-loop shape, alone and mixed with
+// the other feature chunks, through the relaxed harness: the trace tier now
+// records these loops through the call and the return, and every path that
+// accepts a program must agree bit for bit on the result and the scratch
+// buffer.
+func TestDifferentialCallLoop(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 4
+	}
+	sawCall := false
+	for _, mask := range []Feature{FeatCallLoop, FeatCallLoop | FeatFPLoop, FeatCallLoop | FeatFPLoop | FeatNestedLoop | FeatRepString | FeatIndirect} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			p, err := GenerateWithMask(seed, mask)
+			if err != nil {
+				t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+			}
+			sawCall = sawCall || containsOp(p, x86.CALL)
+			runDifferentialRelaxed(t, p)
+		}
+	}
+	if !sawCall {
+		t.Error("no swept program contained the call loop: coverage lost")
+	}
+}
+
 // TestGeneratorStreamsPinned pins the byte streams of the generator for the
 // zero mask and every mask that existed before FeatFPLoop (hashes of seeds
 // 0..63, recorded at the commit before the feature was added): benchmark

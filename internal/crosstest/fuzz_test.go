@@ -31,13 +31,13 @@ import (
 )
 
 // decodeFuzzSeed splits a raw fuzz input into (generator seed, feature
-// mask): the low 32 bits seed the generator, bits 32-35 select features.
+// mask): the low 32 bits seed the generator, bits 32-36 select features.
 // Plain small seeds — the whole historical corpus — decode to a zero mask
 // and the exact program they always produced; masked inputs reach the
-// jump-table, rep-string, trace-linking nested-loop and scalar-FP-loop
-// shapes, and the fuzzer can mutate between the spaces freely.
+// jump-table, rep-string, trace-linking nested-loop, scalar-FP-loop and
+// call-loop shapes, and the fuzzer can mutate between the spaces freely.
 func decodeFuzzSeed(raw int64) (int64, Feature) {
-	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 15)
+	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 31)
 }
 
 // encodeFuzzSeed is decodeFuzzSeed's inverse for pinning corpus entries.
@@ -70,6 +70,11 @@ func FuzzDifferential(f *testing.F) {
 	// FP-loop seeds keep the trace tier's scalar SSE2 subset under fuzz
 	// (pinned by TestFuzzCorpusEngagesFPTraces; mirrored in testdata/fuzz).
 	for _, raw := range pinnedFPLoopSeeds {
+		f.Add(raw)
+	}
+	// Call-loop seeds keep traces through calls and returns under fuzz
+	// (pinned by TestFuzzCorpusEngagesCallTraces; mirrored in testdata/fuzz).
+	for _, raw := range pinnedCallLoopSeeds {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw int64) {
@@ -127,6 +132,18 @@ var pinnedFPLoopSeeds = []int64{
 	encodeFuzzSeed(34, FeatFPLoop),
 	encodeFuzzSeed(18, FeatFPLoop|FeatNestedLoop),
 	encodeFuzzSeed(18, FeatFPLoop|FeatNestedLoop|FeatRepString|FeatIndirect),
+}
+
+// pinnedCallLoopSeeds are call-loop corpus entries whose loops compile to
+// traces that run through the call into the leaf and back under RunNative's
+// thresholds (verified by TestFuzzCorpusEngagesCallTraces). 9/14 hold two
+// call loops; the masked pair mixes in FP loops and every other shape.
+var pinnedCallLoopSeeds = []int64{
+	encodeFuzzSeed(9, FeatCallLoop),
+	encodeFuzzSeed(11, FeatCallLoop),
+	encodeFuzzSeed(14, FeatCallLoop),
+	encodeFuzzSeed(8, FeatCallLoop|FeatFPLoop),
+	encodeFuzzSeed(10, FeatCallLoop|FeatFPLoop|FeatNestedLoop|FeatRepString|FeatIndirect),
 }
 
 // TestFuzzCorpusHitsHardIdioms pins that the masked corpus seeds actually
@@ -256,6 +273,55 @@ func TestFuzzCorpusEngagesFPTraces(t *testing.T) {
 		after := emu.ReadTraceStats()
 		if fpCompiled == 0 {
 			t.Errorf("seed %d mask %#x: no trace with scalar-double arithmetic compiled (aborts by reason %v): FP trace coverage lost",
+				seed, mask, after.AbortedBy)
+		}
+		if after.Iters == before.Iters {
+			t.Errorf("seed %d mask %#x: no iteration retired inside a trace", seed, mask)
+		}
+	}
+}
+
+// TestFuzzCorpusEngagesCallTraces pins the call-loop corpus seeds to traces
+// through calls: each must compile at least one trace whose recording holds
+// a CALL, and retire loop iterations in compiled traces, under RunNative's
+// thresholds. Like the FP sibling above, a wrapper around the registered
+// compiler looks at what was recorded and is removed before the test returns.
+func TestFuzzCorpusEngagesCallTraces(t *testing.T) {
+	callCompiled := 0
+	emu.RegisterTraceCompiler(func(req *emu.TraceRequest) (emu.TraceRunFunc, error) {
+		run, err := jit.CompileTrace(req)
+		if err == nil {
+			for _, st := range req.Steps {
+				if st.In.Op == x86.CALL {
+					callCompiled++
+					break
+				}
+			}
+		}
+		return run, err
+	})
+	defer emu.RegisterTraceCompiler(jit.CompileTrace)
+	for _, raw := range pinnedCallLoopSeeds {
+		seed, mask := decodeFuzzSeed(raw)
+		if mask&FeatCallLoop == 0 {
+			t.Fatalf("pinned call-loop seed %#x decodes to mask %#x", raw, mask)
+		}
+		p, err := GenerateWithMask(seed, mask)
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+		}
+		mem, entry, scratch, err := p.Place()
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: place: %v", seed, mask, err)
+		}
+		callCompiled = 0
+		before := emu.ReadTraceStats()
+		if _, _, err := RunNative(mem, entry, scratch, p, 3, 5); err != nil {
+			t.Fatalf("seed %d mask %#x: run: %v", seed, mask, err)
+		}
+		after := emu.ReadTraceStats()
+		if callCompiled == 0 {
+			t.Errorf("seed %d mask %#x: no trace through a call compiled (aborts by reason %v): call trace coverage lost",
 				seed, mask, after.AbortedBy)
 		}
 		if after.Iters == before.Iters {

@@ -12,12 +12,14 @@ import (
 // engine counts backward-edge dispatches per target block; at the hot
 // threshold the target becomes a trace head and the dispatcher records the
 // concrete path of translated blocks it executes until the path closes back
-// at the head. The recorded superblock is handed to a registered trace
-// compiler (internal/jit wires one through lift → opt → a bytecode VM), and
-// subsequent arrivals at the head run the compiled trace natively. Every
-// off-trace branch and every abnormal memory access is a side exit that
-// materializes the full architectural state — registers, flags, RIP,
-// InstCount and Cycles — and falls back to the block engine.
+// at the head. The path follows direct calls into their callees and back
+// out through the matching returns, so a loop that calls a leaf records as
+// one trace of caller and callee. The recorded superblock is handed to a
+// registered trace compiler (internal/jit wires one through lift → opt → a
+// bytecode VM), and subsequent arrivals at the head run the compiled trace
+// natively. Every off-trace branch and every abnormal memory access is a
+// side exit that materializes the full architectural state — registers,
+// flags, RIP, InstCount and Cycles — and falls back to the block engine.
 //
 // The package split keeps layering acyclic: emu knows nothing about IR. The
 // compiler is injected through RegisterTraceCompiler, which internal/jit
@@ -116,9 +118,13 @@ type TraceAbortReason uint8
 // Abort reasons. The first four end a recording, the next two fail its
 // compile, the last retires an installed trace.
 const (
-	// AbortCall: the recorded path reached a direct call.
+	// AbortCall: the recorded path reached a direct call it cannot follow
+	// (deeper than MaxTraceFrames, or during a re-anchored recording), or
+	// came back to the head with a call still open (recursion, or a callee
+	// that dropped its return address).
 	AbortCall TraceAbortReason = iota
-	// AbortRet: the recorded path reached a return.
+	// AbortRet: the recorded path reached a return with no call open, or a
+	// return that did not come back to its call's return address.
 	AbortRet
 	// AbortIndirect: the recorded path reached an indirect jump or call.
 	AbortIndirect
@@ -241,7 +247,10 @@ type traceEntry struct {
 	// traceRetireStalls the trace is retired (runTrace).
 	stalls uint32
 	o3     bool
-	// [lo, hi) spans every recorded instruction, for InvalidateRange.
+	// [lo, hi) spans every recorded instruction, for InvalidateRange. A
+	// trace through a call spans the caller, the callee and whatever lies
+	// between them: the span is a superset of the recorded bytes, which can
+	// only over-invalidate.
 	lo, hi uint64
 	// ctx is the entry context the trace was recorded under: the side-exit
 	// RIP whose zero-iteration streak triggered the re-record, or 0 for
@@ -272,6 +281,10 @@ type traceLink struct {
 	epoch uint64
 }
 
+// MaxTraceFrames caps the calls a recording follows at once; a call nested
+// deeper aborts it with AbortCall.
+const MaxTraceFrames = 4
+
 // traceRecorder accumulates the block path of a trace being recorded.
 type traceRecorder struct {
 	head    *Block
@@ -280,6 +293,13 @@ type traceRecorder struct {
 	steps   []TraceStep
 	pending int // index of an unresolved conditional branch, or -1
 	blocks  int
+	// frames[:depth] holds the return address of every call the path is
+	// inside, innermost last. After a return pops one, returning is set and
+	// the next dispatch must arrive at retTo.
+	frames    [MaxTraceFrames]uint64
+	depth     int
+	retTo     uint64
+	returning bool
 	// While outer is set the recording is re-anchored (note): it is trying
 	// to close at the head of the enclosing loop [outerPC, outerEnd], whose
 	// path begins at steps[start]. innerEnd is len(steps) at the path's
@@ -312,13 +332,30 @@ func startRecording(head *Block, pc, ctx uint64) *traceRecorder {
 // unrolled along the way is a path that stays in its trace. If the path
 // leaves the enclosing loop first, or cannot be compiled, recording goes on
 // exactly as it would have without re-anchoring.
+//
+// Inside a call (a frame open) the path is the callee's: it neither closes
+// nor re-anchors, and a loop of the callee is recorded unrolled, bounded by
+// MaxInsts and MaxBlocks. Arriving at the head there means the path cannot
+// close with its frames balanced.
 func (r *traceRecorder) note(m *Machine, b *Block, pc uint64) *traceRecorder {
 	if r.pending >= 0 {
 		in := r.steps[r.pending].In
 		r.steps[r.pending].Taken = pc == uint64(in.Dst.Imm)
 		r.pending = -1
 	}
-	if r.outer != nil {
+	if r.returning {
+		r.returning = false
+		if pc != r.retTo {
+			r.abort(m, AbortRet)
+			return nil
+		}
+	}
+	if r.depth > 0 {
+		if pc == r.headPC {
+			r.abort(m, AbortCall)
+			return nil
+		}
+	} else if r.outer != nil {
 		closed := pc == r.outerPC
 		if closed && r.finish(m, r.outer, r.outerPC, r.steps[r.start:]) == nil {
 			return nil
@@ -360,19 +397,27 @@ func (r *traceRecorder) note(m *Machine, b *Block, pc uint64) *traceRecorder {
 		r.steps = append(r.steps, TraceStep{In: st.in, Cost: st.cost})
 	}
 	if len(b.steps) > 0 {
-		// The successor of a return or an indirect branch is data-dependent
-		// and a call leaves the frame; traces only follow static control
-		// flow.
+		// The successor of an indirect branch is data-dependent; traces only
+		// follow static control flow. A return is followed back to the call
+		// it matches, where the trace guards the popped address.
 		switch term := b.steps[len(b.steps)-1].in; term.Op {
 		case x86.RET:
-			r.abort(m, AbortRet)
-			return nil
+			if r.depth == 0 {
+				r.abort(m, AbortRet)
+				return nil
+			}
+			r.depth--
+			r.retTo, r.returning = r.frames[r.depth], true
 		case x86.JMPIndirect, x86.CALLIndirect:
 			r.abort(m, AbortIndirect)
 			return nil
 		case x86.CALL:
-			r.abort(m, AbortCall)
-			return nil
+			if r.outer != nil || r.depth == MaxTraceFrames {
+				r.abort(m, AbortCall)
+				return nil
+			}
+			r.frames[r.depth] = term.Addr + uint64(term.Len)
+			r.depth++
 		case x86.JCC:
 			r.pending = len(r.steps) - 1
 		}

@@ -51,6 +51,12 @@ import (
 // would deoptimize every iteration, and the flag-writing compares because
 // they need a flag recipe of their own.
 //
+// A trace may run through direct calls and their returns. CALL, PUSH r64,
+// POP r64 and RET lower onto the same 8-byte intrinsics at rsp: CALL stores
+// its constant return address, and RET guards the address it pops against
+// the recorded successor, leaving through its pre-instruction exit when the
+// callee returned elsewhere. None of them touches the flags.
+//
 // Memory accesses become intrinsic calls ("trace.loadN"/"trace.storeN").
 // Any abnormal access — unmapped address, nonzero modelled penalty, or a
 // store into a watched (code-bearing) region — deoptimizes BEFORE the
@@ -419,6 +425,11 @@ func scanTrace(req *emu.TraceRequest) (shape flagState, written, writtenX, usedX
 			return
 		}
 		switch in.Op {
+		case x86.CALL, x86.RET, x86.PUSH, x86.POP:
+			if err = checkStackOp(in); err != nil {
+				return
+			}
+			written[x86.RSP] = true
 		case x86.NOP, x86.ENDBR64, x86.JMP, x86.JCC:
 		case x86.MOV, x86.MOVZX, x86.MOVSX, x86.MOVSXD, x86.LEA, x86.NOT,
 			x86.CMOVCC, x86.SETCC:
@@ -453,6 +464,27 @@ func scanTrace(req *emu.TraceRequest) (shape flagState, written, writtenX, usedX
 	return
 }
 
+// checkStackOp accepts CALL rel, bare RET, PUSH r64 and POP r64 other than
+// rsp; every other form of them is refused.
+func checkStackOp(in *x86.Inst) error {
+	r64 := in.Dst.Kind == x86.KReg && in.Dst.Size == 8
+	var ok bool
+	switch in.Op {
+	case x86.CALL:
+		ok = in.Dst.Kind == x86.KImm
+	case x86.RET:
+		ok = in.Dst.Kind == x86.KNone
+	case x86.PUSH:
+		ok = r64
+	case x86.POP:
+		ok = r64 && in.Dst.Reg != x86.RSP
+	}
+	if !ok {
+		return unsupported("operand form of %v at %#x", in, in.Addr)
+	}
+	return nil
+}
+
 // unsupported builds the error for a recording the trace tier refuses; the
 // emulator counts it as an unsupported-op abort, not a compiler failure.
 func unsupported(format string, args ...any) error {
@@ -473,7 +505,7 @@ func writesReg(in *x86.Inst) bool {
 		return false
 	}
 	switch in.Op {
-	case x86.CMP, x86.TEST, x86.JCC, x86.JMP, x86.NOP, x86.ENDBR64:
+	case x86.CMP, x86.TEST, x86.JCC, x86.JMP, x86.NOP, x86.ENDBR64, x86.PUSH:
 		return false
 	case x86.SHL, x86.SHR, x86.SAR:
 		// A masked-to-zero count is a complete no-op.
@@ -679,17 +711,32 @@ func (l *traceLifter) storeFn(size int) *ir.Func {
 
 func (l *traceLifter) memLoad(k int, in *x86.Inst, o x86.Operand, size uint8) ir.Value {
 	exit := l.deoptExit(k, in)
-	addr := l.ea(in, o)
-	call := l.b.Call(l.loadFn(int(size)), addr)
-	l.p.Mems[call] = &TraceMem{Size: int(size), Exit: exit}
-	return call
+	return l.loadAt(exit, l.ea(in, o), int(size))
 }
 
 func (l *traceLifter) memStore(k int, in *x86.Inst, o x86.Operand, v ir.Value) {
 	exit := l.deoptExit(k, in)
-	addr := l.ea(in, o)
-	call := l.b.Call(l.storeFn(int(o.Size)), addr, v)
-	l.p.Mems[call] = &TraceMem{Size: int(o.Size), Write: true, Exit: exit}
+	l.storeAt(exit, l.ea(in, o), v, int(o.Size))
+}
+
+func (l *traceLifter) loadAt(exit *ir.Inst, addr ir.Value, size int) *ir.Inst {
+	call := l.b.Call(l.loadFn(size), addr)
+	l.p.Mems[call] = &TraceMem{Size: size, Exit: exit}
+	return call
+}
+
+func (l *traceLifter) storeAt(exit *ir.Inst, addr, v ir.Value, size int) {
+	call := l.b.Call(l.storeFn(size), addr, v)
+	l.p.Mems[call] = &TraceMem{Size: size, Write: true, Exit: exit}
+}
+
+// push lowers the stack half of PUSH and CALL: the 8-byte store of v below
+// rsp, then the new rsp.
+func (l *traceLifter) push(k int, in *x86.Inst, v ir.Value) {
+	exit := l.deoptExit(k, in)
+	sp := l.b.Sub(l.cur[x86.RSP], ir.Int(ir.I64, 8))
+	l.storeAt(exit, sp, v, 8)
+	l.cur[x86.RSP] = sp
 }
 
 // deoptExit returns the step's shared pre-instruction exit: state as of
@@ -1080,6 +1127,30 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 	case x86.SETCC:
 		cond := l.cond(in.Cond)
 		l.writeDst(k, in, in.Dst, l.b.ZExt(cond, ir.I64))
+
+	case x86.CALL:
+		// The callee is the recorded path, like a JMP's target.
+		l.push(k, in, ir.Int(ir.I64, in.Addr+uint64(in.Len)))
+	case x86.PUSH:
+		l.push(k, in, l.cur[in.Dst.Reg])
+	case x86.POP:
+		v := l.loadAt(l.deoptExit(k, in), l.cur[x86.RSP], 8)
+		l.cur[x86.RSP] = l.b.Add(l.cur[x86.RSP], ir.Int(ir.I64, 8))
+		l.cur[in.Dst.Reg] = v
+	case x86.RET:
+		// The recorder checked that this return came back to its call; the
+		// guard re-checks the popped address on every run and leaves before
+		// the RET when the callee returned anywhere else.
+		exit := l.deoptExit(k, in)
+		to := l.loadAt(exit, l.cur[x86.RSP], 8)
+		succ := l.req.Head
+		if k+1 < len(l.req.Steps) {
+			succ = l.req.Steps[k+1].In.Addr
+		}
+		cont := l.f.NewBlock("")
+		l.b.CondBr(l.b.ICmp(ir.PredEQ, to, ir.Int(ir.I64, succ)), cont, exit.Parent)
+		l.b.SetBlock(cont)
+		l.cur[x86.RSP] = l.b.Add(l.cur[x86.RSP], ir.Int(ir.I64, 8))
 
 	case x86.JCC:
 		cond := l.cond(in.Cond)

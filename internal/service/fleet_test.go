@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -457,5 +458,178 @@ func TestKilledPeerDegrades(t *testing.T) {
 	}
 	if fmt.Sprint(m.Cluster) == "" {
 		t.Fatal("cluster stats unprintable")
+	}
+}
+
+// segmentSizes lists the disk store's segment files in dir with their sizes.
+func segmentSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[string]int64)
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[filepath.Base(p)] = fi.Size()
+	}
+	return sizes
+}
+
+// TestShutdownClosesDiskStore: a daemon restarted over a warm directory that
+// serves only hits writes nothing, and its Shutdown closes the store, which
+// removes the segment that run opened. Afterwards the artifact endpoints
+// answer 503 instead of reaching the closed store.
+func TestShutdownClosesDiskStore(t *testing.T) {
+	dir := t.TempDir()
+	w, regions := newWorkloadSnapshot(t)
+	in := w.SpecInput(bench.Line, bench.Flat, bench.DBrewLLVM)
+	req := requestFor(in, regions, specCase{backend: "llvm", fix: true})
+
+	svc1, client1 := startServer(t, Config{CacheDir: dir})
+	if _, err := client1.Specialize(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	written := segmentSizes(t, dir)
+	if len(written) != 1 {
+		t.Fatalf("segments after the compiling run: %v, want one", written)
+	}
+
+	svc2, client2, url := startServerURL(t, Config{CacheDir: dir})
+	<-svc2.Ready()
+	for _, want := range []string{"disk", "memory"} {
+		resp, err := client2.Specialize(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != want {
+			t.Fatalf("source = %q, want %q", resp.Source, want)
+		}
+	}
+	if len(segmentSizes(t, dir)) != 2 {
+		t.Fatal("the restarted store did not open a segment of its own")
+	}
+	if err := svc2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentSizes(t, dir); !maps.Equal(got, written) {
+		t.Fatalf("segments after a hits-only run: %v, want %v", got, written)
+	}
+	if _, ok := svc2.Engine().DiskStats(); ok {
+		t.Fatal("the disk store is still attached after Shutdown")
+	}
+	key := requestKey(t, regions, req)
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		if status, body := httpDo(t, method, url+"/artifact/"+key.String(), nil); status != http.StatusServiceUnavailable {
+			t.Fatalf("%s /artifact after Shutdown = %d %s, want 503", method, status, body)
+		}
+	}
+}
+
+// TestShutdownRacingArtifactGets runs artifact GETs and /metrics scrapes
+// against a Shutdown that closes the disk store. Every GET is either served
+// in full or refused with 503, and under -race the close shares no
+// unsynchronized state with the handlers or the metrics readers.
+func TestShutdownRacingArtifactGets(t *testing.T) {
+	w, regions := newWorkloadSnapshot(t)
+	in := w.SpecInput(bench.Line, bench.Flat, bench.DBrewLLVM)
+	req := requestFor(in, regions, specCase{backend: "llvm", fix: true})
+	svc, client, url := startServerURL(t, Config{CacheDir: t.TempDir()})
+	resp, err := client.Specialize(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artURL := url + "/artifact/" + resp.Key
+	get := func(url string) (int, []byte, error) {
+		res, err := http.Get(url)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		return res.StatusCode, body, err
+	}
+
+	// Each reader signals running after its first served GET and stops at
+	// its first 503: after Shutdown has returned, every GET is refused.
+	var readers, running sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		running.Add(1)
+		go func() {
+			defer readers.Done()
+			first := true
+			for {
+				status, body, err := get(artURL)
+				if err != nil {
+					t.Errorf("GET during shutdown: %v", err)
+					break
+				}
+				if status == http.StatusServiceUnavailable {
+					break
+				}
+				if status != http.StatusOK {
+					t.Errorf("GET during shutdown = %d %s", status, body)
+					break
+				}
+				if _, art, err := diskcache.Decode(body); err != nil || !bytes.Equal(art.Code, resp.Code) {
+					t.Errorf("GET during shutdown served a damaged artifact (%v)", err)
+					break
+				}
+				if _, _, err := get(url + "/metrics"); err != nil {
+					t.Errorf("GET /metrics during shutdown: %v", err)
+					break
+				}
+				if first {
+					first = false
+					running.Done()
+				}
+			}
+			if first {
+				running.Done()
+			}
+		}()
+	}
+	running.Wait()
+	if err := svc.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	readers.Wait()
+	if status, _ := httpDo(t, http.MethodGet, artURL, nil); status != http.StatusServiceUnavailable {
+		t.Fatalf("GET after Shutdown = %d, want 503", status)
+	}
+}
+
+// TestResponseKeyAddressesArtifact: the key a /specialize response carries
+// is the one the artifact endpoints take, and fetches the same code bytes.
+func TestResponseKeyAddressesArtifact(t *testing.T) {
+	w, regions := newWorkloadSnapshot(t)
+	in := w.SpecInput(bench.Line, bench.Flat, bench.DBrewLLVM)
+	req := requestFor(in, regions, specCase{backend: "llvm", fix: true})
+	_, client, url := startServerURL(t, Config{CacheDir: t.TempDir()})
+	for _, want := range []string{"compile", "memory"} {
+		resp, err := client.Specialize(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != want {
+			t.Fatalf("source = %q, want %q", resp.Source, want)
+		}
+		if k := requestKey(t, regions, req); resp.Key != k.String() {
+			t.Fatalf("%s response key = %q, want %q", want, resp.Key, k)
+		}
+		status, body := httpDo(t, http.MethodGet, url+"/artifact/"+resp.Key, nil)
+		if status != http.StatusOK {
+			t.Fatalf("GET artifact by response key = %d %s", status, body)
+		}
+		if _, art, err := diskcache.Decode(body); err != nil || !bytes.Equal(art.Code, resp.Code) {
+			t.Fatalf("artifact by response key does not hold the response's code (%v)", err)
+		}
 	}
 }

@@ -290,7 +290,9 @@ func (s *Service) enter() bool {
 // Shutdown stops admitting new requests and blocks until every accepted
 // request has finished (drained through its compile or cache wait), or ctx
 // expires. Accepted requests are never dropped: they keep their compile
-// slots and complete normally.
+// slots and complete normally. After a complete drain it closes the disk
+// store, which removes the store's segment if this run wrote nothing to it;
+// every request handler, /artifact included, answers 503 from then on.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.shutMu.Lock()
 	s.closed = true
@@ -300,12 +302,17 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	// The store opens in the warming goroutine: wait for it too, so the
+	// close cannot run before the open.
+	for _, ch := range []<-chan struct{}{done, s.ready} {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
+	s.eng.DisableDiskCache()
+	return nil
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +589,8 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 	// losing the race just means one extra admitted request that then hits
 	// the cache.
 	needSlot := true
-	if key, ok := rw.CacheKey(); ok {
+	key, keyed := rw.CacheKey()
+	if keyed {
 		cached, inflight, peeked := s.eng.CachePeek(key)
 		if peeked && (cached || inflight) {
 			needSlot = false
@@ -591,6 +599,9 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 			// compiling) this artifact. Resolved responses return from here;
 			// a nil response degrades to the local compile below.
 			if resp, status, stage, err, done := s.fleetSpecialize(ctx, req, key, tr); done {
+				if resp != nil {
+					resp.Key = key.String()
+				}
 				return resp, status, stage, err
 			}
 		}
@@ -645,6 +656,9 @@ func (s *Service) specialize(ctx context.Context, req *Request, tr *trace.Trace,
 			CodeSize:   rw.CodeSize,
 			Failed:     rw.Stats.Failed,
 		},
+	}
+	if keyed {
+		resp.Key = key.String()
 	}
 	if req.IncludeIR {
 		if lr, err := s.eng.Lift(addr, "service_result", sig); err == nil {

@@ -145,6 +145,9 @@ type Response struct {
 	// artifact adopted), "forward" (request compiled by the owning peer), or
 	// "compile" (this node ran the pipeline).
 	Source string `json:"source,omitempty"`
+	// Key is the specialization's cache key (hex), the {key} that
+	// GET /artifact/{key} and DELETE /artifact/{key} address.
+	Key string `json:"key,omitempty"`
 	// Strategy names the compile strategy the server chose for this
 	// request: "full" (the requested backend) or "fastpath" (the DBrew
 	// backend alone, whatever the request asked for — selected

@@ -95,21 +95,21 @@ func (e *Engine) EnableDiskCache(dir string, maxBytes int64) error {
 	if e.cache == nil {
 		e.cache = codecache.New[cachedCode](0)
 	}
-	if e.disk != nil {
-		e.disk.Close()
+	if old := e.disk.Swap(store); old != nil {
+		old.Close()
 	}
-	e.disk = store
 	e.wireRemoveHook()
 	return nil
 }
 
 // DisableDiskCache detaches and closes the disk store; artifacts already
 // written remain on disk for a later EnableDiskCache over the same directory.
+// Readers of the store's counters (DiskStats, DiskHas) may run concurrently;
+// nothing may use the store itself, so no Rewrite may be in flight.
 func (e *Engine) DisableDiskCache() {
-	if e.disk != nil {
-		e.disk.Close()
+	if d := e.disk.Swap(nil); d != nil {
+		d.Close()
 	}
-	e.disk = nil
 	e.wireRemoveHook()
 }
 
@@ -123,20 +123,22 @@ func (e *Engine) DisableDiskCache() {
 // traffic, which is a different situation from "no disk cache at all". See
 // the ExampleEngine_DiskStats godoc example.
 func (e *Engine) DiskStats() (st diskcache.Stats, ok bool) {
-	if e.disk == nil {
+	d := e.disk.Load()
+	if d == nil {
 		return diskcache.Stats{}, false
 	}
-	return e.disk.Stats(), true
+	return d.Stats(), true
 }
 
 // DiskHas reports whether an artifact for k is currently indexed on disk
 // (advisory, like CachePeek: a later read may still checksum-reject it).
 // ok is false when the disk cache is disabled.
 func (e *Engine) DiskHas(k codecache.Key) (has, ok bool) {
-	if e.disk == nil {
+	d := e.disk.Load()
+	if d == nil {
 		return false, false
 	}
-	return e.disk.Contains(k), true
+	return d.Contains(k), true
 }
 
 // wireRemoveHook keeps the explicit-Remove hook of the in-memory
@@ -147,7 +149,7 @@ func (e *Engine) DiskHas(k codecache.Key) (has, ok bool) {
 // levels are already clean.
 func (e *Engine) wireRemoveHook() {
 	hook := func(k codecache.Key) {
-		if d := e.disk; d != nil {
+		if d := e.disk.Load(); d != nil {
 			d.Remove(k)
 		}
 		if fn := e.evictNotify; fn != nil {
@@ -180,7 +182,7 @@ func (e *Engine) RemoveSpecialization(k codecache.Key) bool {
 	if e.cache == nil {
 		// No memory level: still scrub disk and notify, honoring the
 		// "cannot be resurrected" contract.
-		if d := e.disk; d != nil {
+		if d := e.disk.Load(); d != nil {
 			d.Remove(k)
 		}
 		if fn := e.evictNotify; fn != nil {
@@ -196,7 +198,7 @@ func (e *Engine) RemoveSpecialization(k codecache.Key) bool {
 // previous restore when the bytes there still equal the artifact's code, and
 // placed into a fresh region otherwise. tr may be nil.
 func (e *Engine) diskLookup(key codecache.Key, tr *trace.Trace) (cachedCode, bool) {
-	d := e.disk
+	d := e.disk.Load()
 	if d == nil {
 		return cachedCode{}, false
 	}
@@ -239,7 +241,7 @@ func (e *Engine) placeRestored(key codecache.Key, code []byte) uint64 {
 // are recorded in the trace but otherwise ignored: the disk level is an
 // optimization, never a correctness dependency.
 func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, irText string, tr *trace.Trace) {
-	d := e.disk
+	d := e.disk.Load()
 	if d == nil {
 		return
 	}
@@ -265,7 +267,7 @@ func (e *Engine) diskWrite(key codecache.Key, cc cachedCode, irText string, tr *
 // compilation. This is the read side of the fleet protocol:
 // GET /artifact/{key} serves exactly this.
 func (e *Engine) ArtifactFor(ctx context.Context, k codecache.Key, wait bool) (*diskcache.Artifact, error) {
-	if d := e.disk; d != nil {
+	if d := e.disk.Load(); d != nil {
 		if a, ok := d.Get(k); ok {
 			return a, nil
 		}
@@ -313,7 +315,7 @@ func (e *Engine) AdoptArtifact(k codecache.Key, a *diskcache.Artifact) (uint64, 
 	if c := e.cache; c != nil {
 		c.Add(k, cc)
 	}
-	if d := e.disk; d != nil {
+	if d := e.disk.Load(); d != nil {
 		d.Put(k, a) // best-effort write-through
 	}
 	return addr, nil
