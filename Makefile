@@ -124,9 +124,11 @@ cover:
 		echo "coverage for ./internal/lift is $$pct%, below the 70% gate"; exit 1; fi
 
 # Short live fuzz of the differential harness on top of the pinned corpus,
-# of the assembler's layout and placement against a direct encoding, and of
-# the artifact store's Open and Get over arbitrary segment bytes.
+# of the assembler's layout and placement against a direct encoding, of
+# the artifact store's Open and Get over arbitrary segment bytes, and of the
+# trace tier's per-binade cycle replay against the step-by-step sum.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=30s ./internal/crosstest
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutPlace -fuzztime=10s ./internal/x86/asm
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOpen -fuzztime=10s ./internal/diskcache
+	$(GO) test -run='^$$' -fuzz=FuzzReplayIters -fuzztime=10s ./internal/emu

@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/x86"
@@ -237,12 +238,19 @@ func CountTraceNativeDeopt()   { traceCounters.nativeDeopts.Add(1) }
 // compiled code itself, which re-checks the memory code generation on every
 // backedge.
 type traceEntry struct {
-	run   TraceRunFunc
-	costs []float64 // per-step modelled cost, replayed in program order
-	T     uint64    // len(costs)
-	req   *TraceRequest
-	head  *Block
-	runs  uint64
+	run TraceRunFunc
+	// costs is the modelled cost of every step; replayIters and the tail of
+	// a side exit add them to Cycles exactly as the interpreter would.
+	costs []float64
+	T     uint64 // len(costs)
+	// qExp is the biased exponent of the binade q was computed for (0: not
+	// yet), and q is one iteration's cost in ulps of that binade, or noQ
+	// where replayIters must add step by step (setBinade). The entry belongs
+	// to one Machine, so the cache needs no lock.
+	qExp, q uint64
+	req     *TraceRequest
+	head    *Block
+	runs    uint64
 	// stalls counts consecutive runs that retired nothing; at
 	// traceRetireStalls the trace is retired (runTrace).
 	stalls uint32
@@ -515,20 +523,11 @@ func (m *Machine) runTrace(t *traceEntry, maxInst uint64, n *uint64) (progressed
 			}
 		}
 		iters, steps, rip := t.run(m, iterCap)
-		// Replay modelled cycles in program order: float accumulation does
-		// not commute, so the per-step costs are added exactly as the
-		// interpreter would. In-trace memory accesses carry no penalty
-		// (penalized accesses deoptimize before executing), so this replay
-		// is the whole cost.
-		costs := t.costs
-		cyc := m.Cycles
-		for it := uint64(0); it < iters; it++ {
-			for _, c := range costs {
-				cyc += c
-			}
-		}
+		// In-trace memory accesses carry no penalty (penalized accesses
+		// deoptimize before executing), so the step costs are the whole cost.
+		cyc := t.replayIters(m.Cycles, iters)
 		for j := uint64(0); j < steps; j++ {
-			cyc += costs[j]
+			cyc += t.costs[j]
 		}
 		m.Cycles = cyc
 		retired := iters*t.T + steps
@@ -580,6 +579,77 @@ func (m *Machine) runTrace(t *traceEntry, maxInst uint64, n *uint64) (progressed
 		traceCounters.links.Add(1)
 		t = next
 	}
+}
+
+// noQ marks a binade in which replayIters must add step by step.
+const noQ = ^uint64(0)
+
+// replayIters returns cyc after iters whole iterations of the trace, bit for
+// bit what adding t.costs in program order iters times gives, but in O(T) per
+// binade instead of O(iters×T).
+//
+// Inside one binade [2^k, 2^(k+1)) the doubles are the multiples of
+// ulp = 2^(k-52), so for a cost c ≥ 0 whose c/ulp is not a half-integer,
+// fl(cyc+c) = cyc + q·ulp with q = round(c/ulp), as long as that sum stays in
+// the binade. One iteration then adds Q = Σ q_j ulps, and because the partial
+// sums only rise, n iterations add n·Q ulps exactly while
+// cyc + n·Q·ulp ≤ 2^(k+1) − ulp. Everything else goes step by step, as the
+// interpreter adds: the iteration that crosses into the next binade, a binade
+// in which a step cost ties (0.5 once cyc ≥ 2^52), cyc < 1, and a single
+// iteration, which would pay for computing Q without saving anything.
+func (t *traceEntry) replayIters(cyc float64, iters uint64) float64 {
+	const mant = 1<<52 - 1
+	for iters > 0 {
+		if bits := math.Float64bits(cyc); iters > 1 && cyc >= 1 && bits>>52 < 0x7ff {
+			if exp := bits >> 52; exp != t.qExp {
+				t.setBinade(exp)
+			}
+			if t.q != noQ {
+				sig := bits&mant | 1<<52
+				n := iters
+				if t.q > 0 {
+					n = min(n, (1<<53-1-sig)/t.q)
+				}
+				if n > 0 {
+					cyc = math.Float64frombits(bits + n*t.q)
+					if iters -= n; iters == 0 {
+						break
+					}
+				}
+			}
+		}
+		for _, c := range t.costs {
+			cyc += c
+		}
+		iters--
+	}
+	return cyc
+}
+
+// setBinade computes t.q for the binade of biased exponent exp: the rounded
+// cost of one iteration in ulps of that binade, or noQ if a step cost is
+// negative, not finite, a tie, or too large for the binade.
+func (t *traceEntry) setBinade(exp uint64) {
+	t.qExp, t.q = exp, noQ
+	scale := math.Ldexp(1, 1075-int(exp)) // 1/ulp, a power of two
+	var q uint64
+	for _, c := range t.costs {
+		x := c * scale
+		if !(x >= 0 && x < 1<<53) {
+			return
+		}
+		f := math.Floor(x)
+		switch frac := x - f; {
+		case frac == 0.5:
+			return
+		case frac > 0.5:
+			f++
+		}
+		if q += uint64(f); q >= 1<<53 {
+			return
+		}
+	}
+	t.q = q
 }
 
 // linkTo resolves the trace to hand off to after a run left at rip, using

@@ -68,7 +68,7 @@ type natSite struct {
 // belongs to one machine's trace entry and runs serially.
 type nativeProg struct {
 	vm       *vmProg
-	codeBuf  []byte // RWX mapping; munmapped by finalizer
+	codeBuf  []byte // r-x mapping; munmapped by finalizer
 	entry    uintptr
 	resume   []uintptr // per site: reload pinned regs, re-run the site check
 	sites    []natSite

@@ -18,18 +18,22 @@ const nativeTraceOK = true
 //go:noescape
 func traceEnter(code uintptr, state *uint64)
 
-// allocExec maps an RWX buffer holding the generated code. W^X is not a
-// concern here: the emulated program never sees this mapping (it lives in
-// host memory, outside the emulated address space), and the process is a
-// JIT by design.
+// allocExec maps the generated code W^X: the buffer is mapped read-write,
+// the code copied in, and the mapping then made read-execute, so no page is
+// ever writable and executable at once. Nothing writes the buffer afterwards;
+// a recompiled trace gets a buffer of its own.
 func allocExec(code []byte) ([]byte, error) {
 	buf, err := syscall.Mmap(-1, 0, len(code),
-		syscall.PROT_READ|syscall.PROT_WRITE|syscall.PROT_EXEC,
+		syscall.PROT_READ|syscall.PROT_WRITE,
 		syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil, err
 	}
 	copy(buf, code)
+	if err := syscall.Mprotect(buf, syscall.PROT_READ|syscall.PROT_EXEC); err != nil {
+		_ = syscall.Munmap(buf)
+		return nil, err
+	}
 	return buf, nil
 }
 
