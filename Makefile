@@ -61,11 +61,15 @@ race-trace:
 # kernels on all four engines plus their trace-engagement pin. TestTraceCall
 # is the battery of traces through calls and returns, and the crosstest
 # call-loop sweep and corpus pin run the generated call loops through them.
+# TestTracePacked is the packed SSE2 battery (16-byte accesses, penalties
+# logged in the trace and charged after it), and the crosstest packed-loop
+# sweep and corpus pin run the generated packed loops through it.
 # On hosts without the native backend the same tests run the traces on the VM.
 race-trace-native:
-	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly|TestTraceReanchor|TestTraceAbortReasons|TestTraceCall' ./internal/jit
+	$(GO) test -race -count=1 -run 'TestTraceNative|TestTraceLink|TestTracePoly|TestTraceReanchor|TestTraceAbortReasons|TestTraceCall|TestTracePacked' ./internal/jit
 	$(GO) test -race -count=1 -run 'TestTraceNativeFP' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestDifferentialCallLoop|TestFuzzCorpusEngagesCallTraces' ./internal/crosstest
+	$(GO) test -race -count=1 -run 'TestDifferentialPackedLoop|TestFuzzCorpusEngagesPackedTraces' ./internal/crosstest
 
 # Persistence + fleet suite fresh under the race detector: two in-process
 # nodes, 32 concurrent identical requests, the exactly-one-compile

@@ -157,13 +157,13 @@ func TestTraceNativeFPLineKernels(t *testing.T) {
 	}
 }
 
-// TestTraceNativeFPStencilKernelsEngage pins the point of the scalar SSE2
-// subset: every scalar line kernel — the structure-walking originals and all
-// specialized variants — runs as at least one native trace that stays in its
-// loop (more than 50 iterations per run in steady state: the structure
+// TestTraceNativeFPStencilKernelsEngage pins the point of the SSE2 subset:
+// every line kernel — the structure-walking originals, all specialized
+// variants, and the packed loops of direct_line (GCC's vectorized kernel and
+// its LLVM-fix re-emission) — runs as at least one native trace that stays in
+// its loop (more than 50 iterations per run in steady state: the structure
 // walkers' short inner loops are unrolled along one trace of the element
-// loop), while the packed GCC-style loop of direct_line is still refused when
-// scanned, as unsupported-op, and costs nothing afterwards.
+// loop, and the packed loops' penalized accesses are charged in the trace).
 func TestTraceNativeFPStencilKernelsEngage(t *testing.T) {
 	w, err := NewWorkload(129)
 	if err != nil {
@@ -178,21 +178,6 @@ func TestTraceNativeFPStencilKernelsEngage(t *testing.T) {
 		after := emu.ReadTraceStats()
 		if st.errMsg != "" {
 			t.Fatalf("%s: %s", name, st.errMsg)
-		}
-		// direct_line is GCC's vectorized loop; LLVM-fix lifts and re-emits
-		// it packed. DBrew starts from the call-based line kernel instead.
-		packed := v.Structure == Direct && v.Mode != DBrewLLVM
-		if packed {
-			if n := warm.Compiled - before.Compiled; n != 0 {
-				t.Errorf("%s: the packed loop compiled %d traces, want it refused", name, n)
-			}
-			if n := warm.AbortedBy[emu.AbortUnsupportedOp] - before.AbortedBy[emu.AbortUnsupportedOp]; n == 0 {
-				t.Errorf("%s: no unsupported-op abort recorded (by reason: %v)", name, warm.AbortedBy)
-			}
-			if after.Runs != warm.Runs || after.Aborted != warm.Aborted {
-				t.Errorf("%s: the refused loop still costs trace work in steady state", name)
-			}
-			continue
 		}
 		if warm.Compiled == before.Compiled {
 			t.Errorf("%s: no trace compiled (aborts by reason: %v)", name, warm.AbortedBy)

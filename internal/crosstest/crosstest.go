@@ -49,6 +49,11 @@ const (
 	// saves and restores a callee-saved register around its work — the
 	// loop shape whose trace runs through the call and the return.
 	FeatCallLoop
+	// FeatPackedLoop emits the vectorized line idiom: a counted loop of
+	// MOVUPD loads, ADDPD and MULPD and an aligned MOVAPD store over pairs
+	// of doubles at an odd 8-byte offset, so its loads carry the unaligned
+	// and line-split penalties a trace logs and charges.
+	FeatPackedLoop
 )
 
 // Program is one generated test program.
@@ -157,7 +162,7 @@ func (g *gen) scratchOp(size uint8) x86.Operand {
 // mapping from random index to shape is stable per mask.
 func (g *gen) features() []Feature {
 	var fs []Feature
-	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop, FeatFPLoop, FeatCallLoop} {
+	for _, f := range []Feature{FeatIndirect, FeatRepString, FeatNestedLoop, FeatFPLoop, FeatCallLoop, FeatPackedLoop} {
 		if g.mask&f != 0 {
 			fs = append(fs, f)
 		}
@@ -183,6 +188,8 @@ func (g *gen) emitChunk(fp bool) {
 			g.emitFPLoop()
 		case FeatCallLoop:
 			g.emitCallLoop()
+		case FeatPackedLoop:
+			g.emitPackedLoop()
 		}
 		return
 	}
@@ -511,6 +518,43 @@ func (g *gen) emitCallLoop() {
 		g.b.I(x86.POP, x86.R64(saved))
 		g.b.Ret()
 	})
+}
+
+// emitPackedLoop appends the vectorized line idiom. It fills n+1 pairs of
+// doubles at an odd 8-byte offset of the scratch buffer (which is 16-byte
+// aligned) and a coefficient pair in its last, aligned, 16 bytes, which no
+// other chunk touches, from live registers; a counted loop then loads each
+// pair and the next one with MOVUPD (misaligned: every load carries the
+// unaligned penalty, and one in four splits a line), adds them with ADDPD
+// from memory, multiplies by the coefficients with MULPD and stores the
+// result back with MOVAPD at the aligned address between the two pairs.
+// Six or more iterations, so under RunNative's thresholds the loop is
+// recorded, compiled and finishes inside its trace. r10/r11 and xmm4/xmm5
+// are outside every register pool.
+func (g *gen) emitPackedLoop() {
+	n := 6 + g.r.Intn(4)
+	const coef = ScratchSize - 16
+	base := int32(8 + 16*g.r.Intn((coef-16*(n+1)-8)/16+1))
+	for i := 0; i < 2*(n+1); i++ {
+		g.b.I(x86.CVTSI2SD, x86.X(x86.XMM5), x86.R64(g.pick()))
+		g.b.I(x86.MOVSD_X, x86.MemBD(8, x86.RDX, base+int32(8*i)), x86.X(x86.XMM5))
+	}
+	for i := int32(0); i < 2; i++ {
+		g.b.I(x86.CVTSI2SD, x86.X(x86.XMM5), x86.R64(g.pick()))
+		g.b.I(x86.MOVSD_X, x86.MemBD(8, x86.RDX, coef+8*i), x86.X(x86.XMM5))
+	}
+	g.b.I(x86.MOVAPD, x86.X(x86.XMM4), x86.MemBD(16, x86.RDX, coef))
+	g.b.I(x86.LEA, x86.R64(x86.R11), x86.MemBD(8, x86.RDX, base))
+	g.b.I(x86.MOV, x86.R64(x86.R10), x86.Imm(int64(n), 8))
+	loop := g.b.NewLabel()
+	g.b.Bind(loop)
+	g.b.I(x86.MOVUPD, x86.X(x86.XMM5), x86.MemBD(16, x86.R11, 0))
+	g.b.I(x86.ADDPD, x86.X(x86.XMM5), x86.MemBD(16, x86.R11, 16))
+	g.b.I(x86.MULPD, x86.X(x86.XMM5), x86.X(x86.XMM4))
+	g.b.I(x86.MOVAPD, x86.MemBD(16, x86.R11, 8), x86.X(x86.XMM5))
+	g.b.I(x86.ADD, x86.R64(x86.R11), x86.Imm(16, 8))
+	g.b.I(x86.SUB, x86.R64(x86.R10), x86.Imm(1, 8))
+	g.b.Jcc(x86.CondNE, loop)
 }
 
 // Place loads the program into a fresh memory image with a scratch buffer

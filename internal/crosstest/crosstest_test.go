@@ -522,6 +522,32 @@ func TestDifferentialCallLoop(t *testing.T) {
 	}
 }
 
+// TestDifferentialPackedLoop sweeps the packed-loop shape, alone and mixed
+// with the other feature chunks, through the relaxed harness: the trace
+// tier runs these loops with their 16-byte accesses and logged penalties,
+// and every path that accepts a program must agree bit for bit on the
+// result and the scratch buffer.
+func TestDifferentialPackedLoop(t *testing.T) {
+	seeds := int64(16)
+	if testing.Short() {
+		seeds = 4
+	}
+	sawPacked := false
+	for _, mask := range []Feature{FeatPackedLoop, FeatPackedLoop | FeatFPLoop | FeatCallLoop, FeatPackedLoop | FeatFPLoop | FeatCallLoop | FeatNestedLoop | FeatRepString | FeatIndirect} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			p, err := GenerateWithMask(seed, mask)
+			if err != nil {
+				t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+			}
+			sawPacked = sawPacked || containsOp(p, x86.MULPD)
+			runDifferentialRelaxed(t, p)
+		}
+	}
+	if !sawPacked {
+		t.Error("no swept program contained the packed loop: coverage lost")
+	}
+}
+
 // TestGeneratorStreamsPinned pins the byte streams of the generator for the
 // zero mask and every mask that existed before FeatFPLoop (hashes of seeds
 // 0..63, recorded at the commit before the feature was added): benchmark

@@ -23,6 +23,10 @@ package crosstest
 // hot. The loop-bearing corpus seeds below pin that behavior.
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/emu"
@@ -31,13 +35,14 @@ import (
 )
 
 // decodeFuzzSeed splits a raw fuzz input into (generator seed, feature
-// mask): the low 32 bits seed the generator, bits 32-36 select features.
+// mask): the low 32 bits seed the generator, bits 32-37 select features.
 // Plain small seeds — the whole historical corpus — decode to a zero mask
 // and the exact program they always produced; masked inputs reach the
-// jump-table, rep-string, trace-linking nested-loop, scalar-FP-loop and
-// call-loop shapes, and the fuzzer can mutate between the spaces freely.
+// jump-table, rep-string, trace-linking nested-loop, scalar-FP-loop,
+// call-loop and packed-loop shapes, and the fuzzer can mutate between the
+// spaces freely.
 func decodeFuzzSeed(raw int64) (int64, Feature) {
-	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 31)
+	return int64(uint32(raw)), Feature((uint64(raw) >> 32) & 63)
 }
 
 // encodeFuzzSeed is decodeFuzzSeed's inverse for pinning corpus entries.
@@ -75,6 +80,12 @@ func FuzzDifferential(f *testing.F) {
 	// Call-loop seeds keep traces through calls and returns under fuzz
 	// (pinned by TestFuzzCorpusEngagesCallTraces; mirrored in testdata/fuzz).
 	for _, raw := range pinnedCallLoopSeeds {
+		f.Add(raw)
+	}
+	// Packed-loop seeds keep 16-byte accesses and logged penalties in traces
+	// under fuzz (pinned by TestFuzzCorpusEngagesPackedTraces; mirrored in
+	// testdata/fuzz).
+	for _, raw := range pinnedPackedLoopSeeds {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw int64) {
@@ -144,6 +155,62 @@ var pinnedCallLoopSeeds = []int64{
 	encodeFuzzSeed(14, FeatCallLoop),
 	encodeFuzzSeed(8, FeatCallLoop|FeatFPLoop),
 	encodeFuzzSeed(10, FeatCallLoop|FeatFPLoop|FeatNestedLoop|FeatRepString|FeatIndirect),
+}
+
+// pinnedPackedLoopSeeds are packed-loop corpus entries whose MOVUPD/ADDPD/
+// MULPD/MOVAPD loops compile to traces and retire iterations in them under
+// RunNative's thresholds, logging the penalties of their misaligned loads
+// (verified by TestFuzzCorpusEngagesPackedTraces). 24/25 hold two packed
+// loops; the masked pair mixes in FP loops and every other shape.
+var pinnedPackedLoopSeeds = []int64{
+	encodeFuzzSeed(18, FeatPackedLoop),
+	encodeFuzzSeed(24, FeatPackedLoop),
+	encodeFuzzSeed(25, FeatPackedLoop),
+	encodeFuzzSeed(15, FeatPackedLoop|FeatFPLoop),
+	encodeFuzzSeed(4, FeatPackedLoop|FeatCallLoop|FeatFPLoop|FeatNestedLoop|FeatRepString|FeatIndirect),
+}
+
+// TestFuzzCorpusFilesMatchNames pins the committed corpus to what its file
+// names say: a file seed_<shape>_<seed>_m<mask> holds the input that
+// decodes to that generator seed and feature mask, and every in-code pinned
+// seed of the link, FP-loop, call-loop and packed-loop shapes has its file.
+func TestFuzzCorpusFilesMatchNames(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDifferential")
+	files, err := filepath.Glob(filepath.Join(dir, "seed_*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v, %d files", err, len(files))
+	}
+	named := regexp.MustCompile(`^seed_[a-z]+_(\d+)_m(\d+)$`)
+	onDisk := map[int64]bool{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw int64
+		if _, err := fmt.Sscanf(string(b), "go test fuzz v1\nint64(%d)", &raw); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		onDisk[raw] = true
+		sub := named.FindStringSubmatch(filepath.Base(f))
+		if sub == nil {
+			continue
+		}
+		var wantSeed int64
+		var wantMask Feature
+		fmt.Sscan(sub[1], &wantSeed)
+		fmt.Sscan(sub[2], &wantMask)
+		if seed, mask := decodeFuzzSeed(raw); seed != wantSeed || mask != wantMask {
+			t.Errorf("%s holds seed %d mask %d", filepath.Base(f), seed, mask)
+		}
+	}
+	for _, list := range [][]int64{pinnedLinkSeeds, pinnedFPLoopSeeds, pinnedCallLoopSeeds, pinnedPackedLoopSeeds} {
+		for _, raw := range list {
+			if seed, mask := decodeFuzzSeed(raw); !onDisk[raw] {
+				t.Errorf("pinned seed %d mask %d has no corpus file", seed, mask)
+			}
+		}
+	}
 }
 
 // TestFuzzCorpusHitsHardIdioms pins that the masked corpus seeds actually
@@ -322,6 +389,56 @@ func TestFuzzCorpusEngagesCallTraces(t *testing.T) {
 		after := emu.ReadTraceStats()
 		if callCompiled == 0 {
 			t.Errorf("seed %d mask %#x: no trace through a call compiled (aborts by reason %v): call trace coverage lost",
+				seed, mask, after.AbortedBy)
+		}
+		if after.Iters == before.Iters {
+			t.Errorf("seed %d mask %#x: no iteration retired inside a trace", seed, mask)
+		}
+	}
+}
+
+// TestFuzzCorpusEngagesPackedTraces pins the packed-loop corpus seeds to
+// traces holding 16-byte accesses: each must compile at least one trace
+// whose recording holds a MOVUPD, and retire loop iterations in compiled
+// traces, under RunNative's thresholds. Like its siblings above, a wrapper
+// around the registered compiler looks at what was recorded and is removed
+// before the test returns.
+func TestFuzzCorpusEngagesPackedTraces(t *testing.T) {
+	packedCompiled := 0
+	emu.RegisterTraceCompiler(func(req *emu.TraceRequest) (emu.TraceRunFunc, error) {
+		run, err := jit.CompileTrace(req)
+		if err == nil {
+			for _, st := range req.Steps {
+				if st.In.Op == x86.MOVUPD {
+					packedCompiled++
+					break
+				}
+			}
+		}
+		return run, err
+	})
+	defer emu.RegisterTraceCompiler(jit.CompileTrace)
+	for _, raw := range pinnedPackedLoopSeeds {
+		seed, mask := decodeFuzzSeed(raw)
+		if mask&FeatPackedLoop == 0 {
+			t.Fatalf("pinned packed-loop seed %#x decodes to mask %#x", raw, mask)
+		}
+		p, err := GenerateWithMask(seed, mask)
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: generate: %v", seed, mask, err)
+		}
+		mem, entry, scratch, err := p.Place()
+		if err != nil {
+			t.Fatalf("seed %d mask %#x: place: %v", seed, mask, err)
+		}
+		packedCompiled = 0
+		before := emu.ReadTraceStats()
+		if _, _, err := RunNative(mem, entry, scratch, p, 3, 5); err != nil {
+			t.Fatalf("seed %d mask %#x: run: %v", seed, mask, err)
+		}
+		after := emu.ReadTraceStats()
+		if packedCompiled == 0 {
+			t.Errorf("seed %d mask %#x: no trace with a 16-byte access compiled (aborts by reason %v): packed trace coverage lost",
 				seed, mask, after.AbortedBy)
 		}
 		if after.Iters == before.Iters {

@@ -131,3 +131,173 @@ func FuzzReplayIters(f *testing.F) {
 		checkReplay(t, math.Float64frombits(start), costs, uint64(iters), uint64(iters)/3)
 	})
 }
+
+// replayLogged is the reference for replay with a penalty log: the block
+// engine's order, every step's cost, then the penalty of each of the step's
+// logged accesses, for iters iterations and steps more; logged accesses of
+// the partial iteration at a step at or past steps are not charged.
+func replayLogged(cyc float64, costs []float64, iters, steps uint64, log []uint64, sites []TraceSite, cost *CostModel) float64 {
+	for it := uint64(0); it <= iters; it++ {
+		n := uint64(len(costs))
+		if it == iters {
+			n = steps
+		}
+		for j := uint64(0); j < n; j++ {
+			cyc += costs[j]
+			for e := 0; e < len(log); e += 3 {
+				if s := sites[log[e+1]]; log[e] == it && uint64(s.Step) == j {
+					cyc += cost.MemPenalty(log[e+2], int(s.Size), s.Write)
+				}
+			}
+		}
+	}
+	return cyc
+}
+
+// randomLog draws sites over the steps and a log of iters iterations (and
+// the partial one) in which each iteration logs each site with probability
+// dense/8, at addresses that are aligned, misaligned within a line or split
+// across one.
+func randomLog(rng *rand.Rand, steps int, iters uint64, dense int) ([]uint64, []TraceSite) {
+	var sites []TraceSite
+	for j := 0; j < steps; j++ {
+		for k := rng.Intn(3); k > 0; k-- {
+			size := []uint8{2, 4, 8, 16}[rng.Intn(4)]
+			sites = append(sites, TraceSite{Step: uint32(j), Size: size, Write: rng.Intn(2) == 0})
+		}
+	}
+	var log []uint64
+	for it := uint64(0); it <= iters; it++ {
+		for k := range sites {
+			if rng.Intn(8) < dense {
+				addr := uint64(0x10000 + 64*rng.Intn(100) + []int{0, 8, 60, 56, 33}[rng.Intn(5)])
+				log = append(log, it, uint64(k), addr)
+			}
+		}
+	}
+	return log, sites
+}
+
+// TestReplayPenaltiesMatchSequential compares replay with a penalty log with
+// the block engine's order of additions bit for bit: Haswell step costs,
+// logs from empty to every site in every iteration, starts across the
+// binades of replayStarts, side exits at every step of the last iteration,
+// and each trial continued on the same entry to exercise the cached binade.
+// Besides the Haswell model it runs models whose penalties are fractions,
+// so that their counts of ulps round and tie in other binades than the step
+// costs', and odd trials keep one logged iteration in seven, so that runs
+// of unlogged iterations lie between logged ones where a binade ends.
+func TestReplayPenaltiesMatchSequential(t *testing.T) {
+	table := haswellCosts()
+	models := []*CostModel{
+		HaswellModel(),
+		{LineSize: 64, SplitPenalty: 0.5, UnalignedVecPenalty: 0.25},
+		{LineSize: 64, SplitPenalty: 0.3, UnalignedVecPenalty: 1e8},
+		{LineSize: 48, SplitPenalty: 3, UnalignedVecPenalty: 0.5},
+	}
+	rng := rand.New(rand.NewSource(2))
+	for mi, model := range models {
+		trials := 30
+		if mi > 0 {
+			trials = 8
+		}
+		for _, start := range replayStarts() {
+			for trial := 0; trial < trials; trial++ {
+				costs := make([]float64, 1+rng.Intn(12))
+				for i := range costs {
+					costs[i] = table[rng.Intn(len(table))]
+				}
+				te := &traceEntry{costs: costs, T: uint64(len(costs))}
+				cyc := start
+				for round := 0; round < 2; round++ {
+					iters := uint64(rng.Intn(80))
+					steps := uint64(rng.Intn(len(costs) + 1))
+					log, sites := randomLog(rng, len(costs), iters, trial%9)
+					if trial%2 == 1 {
+						var sparse []uint64
+						for e := 0; e < len(log); e += 3 {
+							if log[e]%7 == 3 {
+								sparse = append(sparse, log[e:e+3]...)
+							}
+						}
+						log = sparse
+					}
+					want := replayLogged(cyc, costs, iters, steps, log, sites, model)
+					got := te.replay(cyc, iters, steps, log, sites, model)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("model %+v, start %v, costs %v, %d iterations + %d steps, %d entries: got %v (%#x), want %v (%#x)",
+							*model, cyc, costs, iters, steps, len(log)/3, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					cyc = got
+				}
+			}
+		}
+	}
+}
+
+// TestReplayPenaltiesUseBinade pins that logged iterations take the
+// per-binade rule: a run of 1000 iterations, each logging a misaligned
+// 16-byte load, from 2^30 adds its iterations as counts of ulps, leaving the
+// binade cached, and matches the sequential sum.
+func TestReplayPenaltiesUseBinade(t *testing.T) {
+	costs := []float64{1, 0.5, 0.83, 1.5}
+	te := &traceEntry{costs: costs, T: uint64(len(costs))}
+	sites := []TraceSite{{Step: 0, Size: 16}}
+	var log []uint64
+	for it := uint64(0); it < 1000; it++ {
+		log = append(log, it, 0, 0x10008)
+	}
+	start := math.Ldexp(1, 30)
+	cyc, n, rest := te.binadeIters(start, 0, 1000, log, sites, HaswellModel())
+	if n != 1000 || len(rest) != 0 || te.qExp != 1023+30 {
+		t.Fatalf("binadeIters added %d iterations, left %d words, binade %d; want all 1000 in binade %d", n, len(rest), te.qExp, 1023+30)
+	}
+	if want := replayLogged(start, costs, 1000, 0, log, sites, HaswellModel()); cyc != want {
+		t.Fatalf("got %v, want %v", cyc, want)
+	}
+}
+
+// BenchmarkReplayIters times the replay of one trace run: the 13-step
+// packed line loop of 63 iterations with its four misaligned 16-byte loads
+// logged per iteration ("logged", through replay), and without a log
+// ("clean", through replayIters, which replay calls for a run that logged
+// nothing); "from 0" starts every run at Cycles = 0, as a machine reset
+// before each call does, climbing through the low binades, and "from 2^30"
+// runs inside one binade.
+func BenchmarkReplayIters(b *testing.B) {
+	m := HaswellModel()
+	costs := []float64{1, 1, 1, 1, 1, 1, 1, 1, 0.5, 1, 0.33, 0.33, 0.5}
+	sites := []TraceSite{{Step: 0, Size: 16}, {Step: 1, Size: 16}, {Step: 3, Size: 16}, {Step: 5, Size: 16}, {Step: 8, Size: 16, Write: true}}
+	const iters = 63
+	var log []uint64
+	for it := uint64(0); it < iters; it++ {
+		for k := uint64(0); k < 4; k++ {
+			log = append(log, it, k, 0x10008+16*it+1000*k)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		start float64
+		log   []uint64
+	}{
+		{"clean from 0", 0, nil},
+		{"clean from 2^30", math.Ldexp(1, 30), nil},
+		{"logged from 0", 0, log},
+		{"logged from 2^30", math.Ldexp(1, 30), log},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			te := &traceEntry{costs: costs, T: uint64(len(costs))}
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				if c.log == nil {
+					sink += te.replayIters(c.start, iters)
+				} else {
+					sink += te.replay(c.start, iters, 0, c.log, sites, m)
+				}
+			}
+			if sink == 0 {
+				b.Fatal("no cycles")
+			}
+		})
+	}
+}

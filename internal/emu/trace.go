@@ -21,6 +21,8 @@ import (
 // natively. Every off-trace branch and every abnormal memory access is a
 // side exit that materializes the full architectural state — registers,
 // flags, RIP, InstCount and Cycles — and falls back to the block engine.
+// A memory penalty is not abnormal: the compiled code logs each access that
+// may carry one, and runTrace charges it in the interpreter's order.
 //
 // The package split keeps layering acyclic: emu knows nothing about IR. The
 // compiler is injected through RegisterTraceCompiler, which internal/jit
@@ -98,10 +100,32 @@ type TraceRequest struct {
 // TraceRunFunc executes a compiled trace on m with at most iterCap full
 // loop iterations and returns the completed iterations, the instructions
 // retired in the final partial iteration (0 when the trace exited at the
-// loop header), and the RIP to resume the block engine at. On return the
-// machine's GPR, XMM and Flags are fully materialized; the caller settles
-// RIP, InstCount and Cycles from the returned counts.
-type TraceRunFunc func(m *Machine, iterCap uint64) (iters, steps uint64, rip uint64)
+// loop header), the RIP to resume the block engine at, and the run's
+// penalty log. On return the machine's GPR, XMM and Flags are fully
+// materialized; the caller settles RIP, InstCount and Cycles from the
+// returned counts and the log, which is nil for a trace without an access
+// that can log.
+type TraceRunFunc func(m *Machine, iterCap uint64) (iters, steps, rip uint64, pens *TracePenalties)
+
+// TraceSite is the static side of one memory access of a compiled trace:
+// the step that performs it, its width in bytes and its direction.
+type TraceSite struct {
+	Step  uint32
+	Size  uint8
+	Write bool
+}
+
+// TracePenalties is the penalty log of one trace run. Log holds three words
+// per access that may have carried a memory penalty — the iteration, the
+// index of its site in Sites, and the guest address — in the order the
+// accesses ran. The test that logs an access is conservative: an entry whose
+// penalty is zero adds nothing. An access that deoptimized is not logged; the
+// block engine charges it when it re-executes the instruction. The log
+// belongs to the compiled trace and is valid until its next run.
+type TracePenalties struct {
+	Log   []uint64
+	Sites []TraceSite
+}
 
 // TraceCompiler builds a native executor for a recorded trace, or reports
 // that the trace cannot be compiled. An error wrapping ErrTraceUnsupported
@@ -239,15 +263,22 @@ func CountTraceNativeDeopt()   { traceCounters.nativeDeopts.Add(1) }
 // backedge.
 type traceEntry struct {
 	run TraceRunFunc
-	// costs is the modelled cost of every step; replayIters and the tail of
-	// a side exit add them to Cycles exactly as the interpreter would.
+	// costs is the modelled cost of every step; replay adds them and the
+	// logged penalties to Cycles exactly as the interpreter would.
 	costs []float64
 	T     uint64 // len(costs)
 	// qExp is the biased exponent of the binade q was computed for (0: not
 	// yet), and q is one iteration's cost in ulps of that binade, or noQ
-	// where replayIters must add step by step (setBinade). The entry belongs
+	// where replay must add step by step (setBinade). The entry belongs
 	// to one Machine, so the cache needs no lock.
 	qExp, q uint64
+	// sum is the float sum of costs, an estimate of one iteration's cost
+	// (newBinade), computed on first use (0: not yet).
+	sum float64
+	// memo holds the counts of ulps of recent penalties in the binade of
+	// biased exponent memoExp (binadeIters).
+	memo    [8]penMemo
+	memoExp uint64
 	req     *TraceRequest
 	head    *Block
 	runs    uint64
@@ -272,11 +303,18 @@ type traceEntry struct {
 	links []traceLink
 }
 
+// penMemo is the count r of ulps of the penalty of bits key-1, or noFit
+// where it ties or is too large; key is 0 in an empty slot.
+type penMemo struct{ key, r uint64 }
+
+// noFit is a count larger than any binade has room for.
+const noFit = 1 << 60
+
 // traceRetireStalls is the number of consecutive zero-instruction runs after
 // which a trace is retired. A run retires nothing only when the access of the
-// head's first instruction deoptimizes (penalized, faulting or watched), and
-// 32 in a row means the data does that every time: each further arrival
-// would pay a trace entry to execute nothing.
+// head's first instruction deoptimizes (faulting, watched, or a misaligned
+// MOVAPD), and 32 in a row means the data does that every time: each further
+// arrival would pay a trace entry to execute nothing.
 const traceRetireStalls = 32
 
 // maxTraceLinks bounds the per-trace link cache; a trace has only a handful
@@ -522,14 +560,13 @@ func (m *Machine) runTrace(t *traceEntry, maxInst uint64, n *uint64) (progressed
 				return progressed, nil
 			}
 		}
-		iters, steps, rip := t.run(m, iterCap)
-		// In-trace memory accesses carry no penalty (penalized accesses
-		// deoptimize before executing), so the step costs are the whole cost.
-		cyc := t.replayIters(m.Cycles, iters)
-		for j := uint64(0); j < steps; j++ {
-			cyc += t.costs[j]
+		iters, steps, rip, pens := t.run(m, iterCap)
+		var log []uint64
+		var sites []TraceSite
+		if pens != nil && m.Cost != nil { // without a model the block engine charges no penalty either
+			log, sites = pens.Log, pens.Sites
 		}
-		m.Cycles = cyc
+		m.Cycles = t.replay(m.Cycles, iters, steps, log, sites, m.Cost)
 		retired := iters*t.T + steps
 		*n += retired
 		m.InstCount += retired
@@ -581,37 +618,27 @@ func (m *Machine) runTrace(t *traceEntry, maxInst uint64, n *uint64) (progressed
 	}
 }
 
-// noQ marks a binade in which replayIters must add step by step.
+// noQ marks a binade in which whole iterations must be added step by step.
 const noQ = ^uint64(0)
 
-// replayIters returns cyc after iters whole iterations of the trace, bit for
-// bit what adding t.costs in program order iters times gives, but in O(T) per
-// binade instead of O(iters×T).
-//
-// Inside one binade [2^k, 2^(k+1)) the doubles are the multiples of
-// ulp = 2^(k-52), so for a cost c ≥ 0 whose c/ulp is not a half-integer,
-// fl(cyc+c) = cyc + q·ulp with q = round(c/ulp), as long as that sum stays in
-// the binade. One iteration then adds Q = Σ q_j ulps, and because the partial
-// sums only rise, n iterations add n·Q ulps exactly while
-// cyc + n·Q·ulp ≤ 2^(k+1) − ulp. Everything else goes step by step, as the
-// interpreter adds: the iteration that crosses into the next binade, a binade
-// in which a step cost ties (0.5 once cyc ≥ 2^52), cyc < 1, and a single
-// iteration, which would pay for computing Q without saving anything.
+// replayIters returns cyc after iters whole iterations of the trace that
+// logged no penalty: bit for bit what adding t.costs in program order iters
+// times gives, by the per-binade rule of replay.
 func (t *traceEntry) replayIters(cyc float64, iters uint64) float64 {
 	const mant = 1<<52 - 1
 	for iters > 0 {
 		if bits := math.Float64bits(cyc); iters > 1 && cyc >= 1 && bits>>52 < 0x7ff {
+			q := t.q
 			if exp := bits >> 52; exp != t.qExp {
-				t.setBinade(exp)
+				q = t.newBinade(cyc, exp, 0)
 			}
-			if t.q != noQ {
-				sig := bits&mant | 1<<52
+			if q != noQ {
 				n := iters
-				if t.q > 0 {
-					n = min(n, (1<<53-1-sig)/t.q)
+				if q > 0 {
+					n = min(n, (1<<53-1-(bits&mant|1<<52))/q)
 				}
 				if n > 0 {
-					cyc = math.Float64frombits(bits + n*t.q)
+					cyc = math.Float64frombits(bits + n*q)
 					if iters -= n; iters == 0 {
 						break
 					}
@@ -626,30 +653,206 @@ func (t *traceEntry) replayIters(cyc float64, iters uint64) float64 {
 	return cyc
 }
 
+// replay returns cyc after a trace run of iters whole iterations and steps
+// more with the penalty log (log, sites) of emu.TracePenalties, bit for bit
+// what the block engine adds: every step's cost, each followed by
+// cost.MemPenalty of the step's logged accesses in access order. It takes
+// O(T) per binade and O(1) per logged access instead of O(iters×T).
+//
+// Inside one binade [2^k, 2^(k+1)) the doubles are the multiples of
+// ulp = 2^(k-52), so for an addend c ≥ 0 whose c/ulp is not a half-integer,
+// fl(cyc+c) = cyc + round(c/ulp)·ulp, as long as that sum stays in the
+// binade. One iteration then adds Q = Σ q_j ulps plus one rounded count per
+// logged penalty, whatever cyc is, and because the partial sums only rise,
+// whole iterations add their counts exactly while the total stays
+// ≤ 2^(k+1) − ulp. Everything else goes step by step, as the interpreter
+// adds: the iteration that crosses into the next binade, a binade in which a
+// step cost or a penalty ties (0.5 once cyc ≥ 2^52), cyc < 1, a lone
+// iteration that would pay for computing Q without saving anything, and the
+// partial iteration of a side exit.
+func (t *traceEntry) replay(cyc float64, iters, steps uint64, log []uint64, sites []TraceSite, cost *CostModel) float64 {
+	for it := uint64(0); it < iters; {
+		if len(log) == 0 || log[0] > it {
+			next := iters
+			if len(log) > 0 {
+				next = min(next, log[0])
+			}
+			cyc, it = t.replayIters(cyc, next-it), next
+			continue
+		}
+		var n uint64
+		if cyc, n, log = t.binadeIters(cyc, it, iters, log, sites, cost); n == 0 {
+			cyc, log = t.stepIter(cyc, it, t.T, log, sites, cost)
+			n = 1
+		}
+		it += n
+	}
+	cyc, _ = t.stepIter(cyc, iters, steps, log, sites, cost)
+	return cyc
+}
+
+// newBinade returns one iteration's cost in ulps of the binade of biased
+// exponent exp that holds cyc, where t.q is for another binade, or noQ.
+// Computing it takes a pass over the steps, and buys nothing when one
+// iteration, with pen more for its logged penalties, already reaches the top
+// of the binade — as every iteration does in the low binades that a run
+// starting from Cycles = 0 climbs through; then t.q stays as it is.
+func (t *traceEntry) newBinade(cyc float64, exp uint64, pen float64) uint64 {
+	if t.sum == 0 {
+		for _, c := range t.costs {
+			t.sum += c
+		}
+	}
+	if cyc+t.sum+pen >= math.Float64frombits((exp+1)<<52) {
+		return noQ
+	}
+	t.setBinade(exp)
+	return t.q
+}
+
+// binadeIters adds to cyc as many whole iterations, from the logged
+// iteration it on, as the per-binade rule covers, and returns the sum, how
+// many it added — 0 where the rule does not hold or the first iteration
+// leaves the binade — and the log past their entries.
+func (t *traceEntry) binadeIters(cyc float64, it, iters uint64, l []uint64, sites []TraceSite, cost *CostModel) (float64, uint64, []uint64) {
+	const mant = 1<<52 - 1
+	bits := math.Float64bits(cyc)
+	exp := bits >> 52
+	if !(cyc >= 1) || exp >= 0x7ff {
+		return cyc, 0, l
+	}
+	q := t.q
+	if exp != t.qExp {
+		q = t.newBinade(cyc, exp, penaltiesOf(l, it, sites, cost))
+	}
+	if q == noQ {
+		return cyc, 0, l
+	}
+	// Whole iterations it..it+n-1 add n·Q plus the counts of their logged
+	// accesses. The partial sums only rise, so they stay in the binade as
+	// long as the total at the end of the last of them does. One pass over
+	// the log finds the first iteration that leaves the binade or logged a
+	// tie: nmax bounds the iterations that Q alone lets fit, and lim the
+	// counts that the accesses up to iteration cur may add.
+	room := uint64(1<<53-1) - (bits&mant | 1<<52)
+	nmax := iters - it
+	if q > 0 {
+		nmax = min(nmax, room/q)
+	}
+	if nmax == 0 {
+		return cyc, 0, l
+	}
+	if t.memoExp != exp {
+		t.memo, t.memoExp = [8]penMemo{}, exp
+	}
+	var pen, before uint64 // counts of the entries walked, and of those before iteration cur
+	cur, start, j, lim := it, 0, 0, room-q
+	fits := true
+	for ; j < len(l) && l[j] < iters; j += 3 {
+		if l[j] != cur {
+			cur, before, start = l[j], pen, j
+			if cur-it >= nmax {
+				fits = false
+				break
+			}
+			lim = room - (cur-it+1)*q
+		}
+		// A run's penalties take a handful of values; rounding each costs
+		// more than looking its count up.
+		s := &sites[l[j+1]]
+		p := cost.MemPenalty(l[j+2], int(s.Size), s.Write)
+		b := math.Float64bits(p)
+		e := &t.memo[(b*0x9E3779B97F4A7C15)>>61]
+		if e.key != b+1 {
+			r, ok := ulps(p, exp)
+			if !ok {
+				r = noFit
+			}
+			*e = penMemo{key: b + 1, r: r}
+		}
+		if pen += e.r; pen > lim {
+			fits = false
+			break
+		}
+	}
+	if !fits { // add the iterations before cur
+		n := cur - it
+		if q > 0 {
+			n = min(n, (room-before)/q)
+		}
+		return math.Float64frombits(bits + n*q + before), n, l[start:]
+	}
+	n := iters - it
+	if q > 0 {
+		n = min(n, (room-pen)/q)
+	}
+	return math.Float64frombits(bits + n*q + pen), n, l[j:]
+}
+
+// stepIter adds steps 0..n-1 of iteration it one at a time, each followed by
+// the penalties of its logged accesses, and returns the log past them. An
+// entry of iteration it at step n or later belongs to the instruction the
+// run deoptimized on, which the block engine re-executes and charges; it is
+// left behind.
+func (t *traceEntry) stepIter(cyc float64, it, n uint64, log []uint64, sites []TraceSite, cost *CostModel) (float64, []uint64) {
+	for j, c := range t.costs[:n] {
+		cyc += c
+		for len(log) > 0 && log[0] == it && int(sites[log[1]].Step) <= j {
+			s := &sites[log[1]]
+			cyc += cost.MemPenalty(log[2], int(s.Size), s.Write)
+			log = log[3:]
+		}
+	}
+	return cyc, log
+}
+
+// penaltiesOf sums the penalties iteration it logged, for an estimate.
+func penaltiesOf(log []uint64, it uint64, sites []TraceSite, cost *CostModel) float64 {
+	var p float64
+	for ; len(log) > 0 && log[0] == it; log = log[3:] {
+		s := &sites[log[1]]
+		p += cost.MemPenalty(log[2], int(s.Size), s.Write)
+	}
+	return p
+}
+
 // setBinade computes t.q for the binade of biased exponent exp: the rounded
 // cost of one iteration in ulps of that binade, or noQ if a step cost is
 // negative, not finite, a tie, or too large for the binade.
 func (t *traceEntry) setBinade(exp uint64) {
 	t.qExp, t.q = exp, noQ
-	scale := math.Ldexp(1, 1075-int(exp)) // 1/ulp, a power of two
 	var q uint64
 	for _, c := range t.costs {
-		x := c * scale
-		if !(x >= 0 && x < 1<<53) {
+		r, ok := ulps(c, exp)
+		if !ok {
 			return
 		}
-		f := math.Floor(x)
-		switch frac := x - f; {
-		case frac == 0.5:
-			return
-		case frac > 0.5:
-			f++
-		}
-		if q += uint64(f); q >= 1<<53 {
+		if q += r; q >= 1<<53 {
 			return
 		}
 	}
 	t.q = q
+}
+
+// ulps returns c/ulp rounded to the nearest integer, where ulp = 2^(exp-1075)
+// is the spacing of the doubles in the binade of biased exponent exp ≥ 1023
+// (a binade at or above 1), or false if c/ulp is a tie, negative, not
+// finite, or not below 2^53. Scaling by the power of two 1/ulp ≤ 2^52 is
+// exact wherever the result can reach 1/2, so the rounding decision is too;
+// ulps is small enough to inline into the per-access loop of binadeIters.
+func ulps(c float64, exp uint64) (uint64, bool) {
+	x := c * math.Float64frombits((2098-exp)<<52) // 2^(1075-exp)
+	if !(x >= 0 && x < 1<<53) {
+		return 0, false
+	}
+	r := int64(x) // one instruction, where a conversion to uint64 branches
+	if frac := x - float64(r); frac >= 0.5 {
+		if frac == 0.5 {
+			return 0, false
+		}
+		r++
+	}
+	return uint64(r), true
 }
 
 // linkTo resolves the trace to hand off to after a run left at rip, using

@@ -34,7 +34,7 @@ func CompileTrace(req *emu.TraceRequest) (emu.TraceRunFunc, error) {
 		// Native emission rejecting a trace (unsupported op shape, exotic
 		// cost model, non-amd64 host) is not an error: the bytecode VM is
 		// the always-correct fallback.
-		if np, nerr := buildNative(vm, prog, req.Head, req.O3); nerr == nil {
+		if np, nerr := buildNative(vm, prog, req.O3); nerr == nil {
 			emu.CountTraceNativeCompile()
 			return np.run, nil
 		}

@@ -339,8 +339,9 @@ func TestTraceSMCStoreDeopt(t *testing.T) {
 }
 
 // TestTracePenaltyDeopt puts a cache-line-splitting load in a traced loop:
-// every iteration must deoptimize (penalized accesses cannot be accounted
-// in-trace) yet cycles still match the interpreter exactly.
+// the access no longer deoptimizes — every iteration logs it, and the
+// penalties are charged after each run in the block engine's order — and
+// cycles still match the interpreter exactly.
 func TestTracePenaltyDeopt(t *testing.T) {
 	code := assembleAt(t, 0x5000, func(b *asm.Builder) {
 		b.I(x86.MOV, x86.R64(x86.RAX), x86.Imm(0, 8))

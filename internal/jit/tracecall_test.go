@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -368,4 +369,39 @@ func TestTraceCallDeopts(t *testing.T) {
 			t.Fatal("no trace iterations ran")
 		}
 	})
+}
+
+// TestTraceCallMisalignedStack runs the driver around savingLeaf with a stack
+// pointer 4 bytes off 8-byte alignment, placed so that the CALL and RET, the
+// PUSH and POP of rbx, or those of r12 touch a slot that splits a cache line.
+// The emulator charges no memory penalty for a stack access, so neither may
+// a trace, natively or in the VM.
+func TestTraceCallMisalignedStack(t *testing.T) {
+	const n = 200
+	code := assembleAt(t, 0x5000, func(b *asm.Builder) {
+		leaf := b.NewLabel()
+		callDriver(b, n, func() { b.CallLabel(leaf) })
+		b.Bind(leaf)
+		savingLeaf(b)
+	})
+	// Call pushes the return sentinel at rsp-8, the driver's CALL at
+	// rsp-16, and the leaf rbx at rsp-24 and r12 at rsp-32; each of these
+	// offsets puts one of them at 60 mod 64.
+	for _, off := range []uint64{12, 20, 28} {
+		setup := func(m *emu.Machine, mem *emu.Memory) *emu.Region {
+			stack := mem.Alloc(0x1000, 64, "stack")
+			callData(n)(m, mem)
+			m.GPR[x86.RSP] = stack.End() - 64 + off
+			return stack
+		}
+		desc := fmt.Sprintf("split stack slot, rsp = 64k+%d", off)
+		ref := fpDiffAll(t, desc, code, 0, 1, setup)
+		if ref.errMsg != "" {
+			t.Fatalf("%s: %s", desc, ref.errMsg)
+		}
+		before, after := tracedRun(t, code, setup)
+		if after.Compiled == before.Compiled {
+			t.Fatalf("%s: no trace compiled (aborts by reason %v)", desc, after.AbortedBy)
+		}
+	}
 }

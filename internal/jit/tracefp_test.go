@@ -217,9 +217,9 @@ func fpData(r *emu.Region, n int) {
 }
 
 // TestTraceNativeFPDeoptBattery lands every deopt shape on an FP
-// instruction in the middle of a trace: a faulting FP load, a line-splitting
-// FP load, an FP store into a watched (code-bearing) region, and every
-// possible budget cutoff of an FP loop.
+// instruction in the middle of a trace: a faulting FP load, an FP store into
+// a watched (code-bearing) region, and every possible budget cutoff of an
+// FP loop; and a line-splitting FP load, which the trace logs and charges.
 func TestTraceNativeFPDeoptBattery(t *testing.T) {
 	t.Run("MemFault", func(t *testing.T) {
 		code := assembleAt(t, 0x5000, fpAccumulate(1000))
@@ -285,12 +285,14 @@ func TestTraceNativeFPDeoptBattery(t *testing.T) {
 }
 
 // TestTraceNativeFPRetire is the no-progress retirement rule: a scalar FP
-// loop whose first instruction loads from a line-splitting address
-// (addr % 64 == 60) deoptimizes before retiring anything on every run. After
-// traceRetireStalls such runs the trace is retired, the head blacklisted
-// with reason no-progress, and from then on the loop runs on the block
-// engine alone — no further trace entries, same state as a machine that
-// never traced.
+// loop whose trace, once installed, deoptimizes on its first instruction on
+// every run retires nothing. Penalized accesses no longer do that — they are
+// logged and charged — so the stall here is a fault: after a call that
+// records and runs the trace, every later call's second iteration, the
+// trace's first, loads from an unmapped address. After traceRetireStalls
+// such runs the trace is retired, the head blacklisted with reason
+// no-progress, and from then on the loop runs on the block engine alone — no
+// further trace entries, same state as a machine that never traced.
 func TestTraceNativeFPRetire(t *testing.T) {
 	const iters = 500
 	code := assembleAt(t, 0x5000, func(b *asm.Builder) {
@@ -298,35 +300,52 @@ func TestTraceNativeFPRetire(t *testing.T) {
 		b.I(x86.PXOR, x86.X(x86.XMM1), x86.X(x86.XMM1))
 		loop := b.NewLabel()
 		b.Bind(loop)
-		b.I(x86.MOVSD_X, x86.X(x86.XMM0), x86.MemBD(8, x86.RDX, 0)) // always splits
+		b.I(x86.MOVSD_X, x86.X(x86.XMM0), x86.MemBD(8, x86.RDX, 0))
 		b.I(x86.ADDSD, x86.X(x86.XMM1), x86.X(x86.XMM0))
+		b.I(x86.ADD, x86.R64(x86.RDX), x86.Imm(8, 8))
 		b.I(x86.SUB, x86.R64(x86.RCX), x86.Imm(1, 8))
 		b.Jcc(x86.CondNE, loop)
 		b.Ret()
 	})
-	setup := func(m *emu.Machine, mem *emu.Memory) *emu.Region {
-		r := mem.Alloc(128, 64, "data")
-		binary.LittleEndian.PutUint64(r.Data[60:], math.Float64bits(1.5))
-		m.GPR[x86.RDX] = r.Start + 60
-		return r
+	// call runs the loop from the start of the data (every load valid) or
+	// from its last double (the second load faults), on a fresh call.
+	call := func(m *emu.Machine, r *emu.Region, fromEnd bool) error {
+		m.Reset()
+		m.GPR[x86.RDX] = r.Start
+		if fromEnd {
+			m.GPR[x86.RDX] = r.End() - 8
+		}
+		_, err := m.Call(0x5000, emu.CallArgs{}, 0)
+		return err
 	}
-	blocks := fpRun(t, code, fpEngines[1].set, 0, 2, setup)
-
-	mem := emu.NewMemory(0x1000000)
-	if _, err := mem.MapBytes(0x5000, code, "code"); err != nil {
+	machine := func(set func(*emu.Machine)) (*emu.Machine, *emu.Region) {
+		mem := emu.NewMemory(0x1000000)
+		if _, err := mem.MapBytes(0x5000, code, "code"); err != nil {
+			t.Fatal(err)
+		}
+		r := mem.Alloc(8*iters, 64, "data")
+		fpData(r, iters)
+		m := emu.NewMachine(mem)
+		set(m)
+		return m, r
+	}
+	m, r := machine(func(m *emu.Machine) { m.Traces = true; m.TraceOpts = hotOpts })
+	blocks, br := machine(fpEngines[1].set)
+	if err := call(m, r, false); err != nil {
 		t.Fatal(err)
 	}
-	m := emu.NewMachine(mem)
-	m.Traces = true
-	m.TraceOpts = hotOpts
+	if err := call(blocks, br, false); err != nil {
+		t.Fatal(err)
+	}
 	before := emu.ReadTraceStats()
-	setup(m, mem)
-	if _, err := m.Call(0x5000, emu.CallArgs{}, 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 32; i++ {
+		if err := call(m, r, true); err == nil {
+			t.Fatal("the load past the data did not fault")
+		}
 	}
 	mid := emu.ReadTraceStats()
-	if n := mid.Compiled - before.Compiled; n != 1 {
-		t.Fatalf("compiled %d traces, want 1", n)
+	if n := mid.Compiled - before.Compiled; n != 0 {
+		t.Fatalf("compiled %d traces while stalling, want 0", n)
 	}
 	if n := mid.AbortedBy[emu.AbortNoProgress] - before.AbortedBy[emu.AbortNoProgress]; n != 1 {
 		t.Fatalf("no-progress retirements: %d, want exactly 1 (aborts %v)", n, mid.AbortedBy)
@@ -337,19 +356,22 @@ func TestTraceNativeFPRetire(t *testing.T) {
 	if mid.Iters != before.Iters || mid.SideExits != before.SideExits {
 		t.Fatalf("a retired-for-no-progress trace made progress: %+v", mid)
 	}
-	// Second call on the same machine: the head stays blacklisted, nothing
+	// Later calls on the same machine: the head stays blacklisted, nothing
 	// is recorded, compiled or entered.
-	m.Reset()
-	setup(m, mem)
-	_, err := m.Call(0x5000, emu.CallArgs{}, 0)
+	for i := 0; i < 32; i++ {
+		if err := call(blocks, br, true); err == nil {
+			t.Fatal("the load past the data did not fault on the block engine")
+		}
+	}
+	err := call(m, r, false)
 	after := emu.ReadTraceStats()
 	if after.Runs != mid.Runs || after.Compiled != mid.Compiled || after.Aborted != mid.Aborted {
 		t.Fatalf("retired head was traced again: runs %d->%d compiled %d->%d aborted %d->%d",
 			mid.Runs, after.Runs, mid.Compiled, after.Compiled, mid.Aborted, after.Aborted)
 	}
 	got := snapshot(m, err)
-	got.scratch = blocks.scratch // the loop only reads memory
-	diffStates(t, "retired loop vs block engine", blocks, got, modeBlocks, modeTraces)
+	want := snapshot(blocks, call(blocks, br, false))
+	diffStates(t, "retired loop vs block engine", want, got, modeBlocks, modeTraces)
 }
 
 // TestTraceNativeFPKeepsProgressingTraces is the other half of the rule: a
@@ -397,20 +419,18 @@ func TestTraceNativeFPKeepsProgressingTraces(t *testing.T) {
 }
 
 // TestTraceNativeFPRejectedAtScan pins what stays out of the tier: 16-byte
-// memory operands, packed arithmetic, compares and conversions abort the
-// recording as unsupported-op, blacklist the head, and leave the loop on the
-// block engine with the interpreter's exact state.
+// memory operands of the bitwise ops, compares, conversions, square roots
+// and single precision abort the recording as unsupported-op, blacklist the
+// head, and leave the loop on the block engine with the interpreter's exact
+// state. (The packed forms the tier admits are in tracepacked_test.go.)
 func TestTraceNativeFPRejectedAtScan(t *testing.T) {
 	bodies := map[string]func(b *asm.Builder){
-		"movupd load":  func(b *asm.Builder) { b.I(x86.MOVUPD, x86.X(x86.XMM0), x86.MemBD(16, x86.RDX, 0)) },
-		"movapd store": func(b *asm.Builder) { b.I(x86.MOVAPD, x86.MemBD(16, x86.RDX, 0), x86.X(x86.XMM0)) },
-		"pxor m128":    func(b *asm.Builder) { b.I(x86.PXOR, x86.X(x86.XMM0), x86.MemBD(16, x86.RDX, 0)) },
-		"addpd":        func(b *asm.Builder) { b.I(x86.ADDPD, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
-		"ucomisd":      func(b *asm.Builder) { b.I(x86.UCOMISD, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
-		"sqrtsd":       func(b *asm.Builder) { b.I(x86.SQRTSD, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
-		"cvtsi2sd":     func(b *asm.Builder) { b.I(x86.CVTSI2SD, x86.X(x86.XMM0), x86.R64(x86.RCX)) },
-		"addss":        func(b *asm.Builder) { b.I(x86.ADDSS, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
-		"movq m64":     func(b *asm.Builder) { b.I(x86.MOVQ, x86.X(x86.XMM0), x86.MemBD(8, x86.RDX, 0)) },
+		"pxor m128": func(b *asm.Builder) { b.I(x86.PXOR, x86.X(x86.XMM0), x86.MemBD(16, x86.RDX, 0)) },
+		"ucomisd":   func(b *asm.Builder) { b.I(x86.UCOMISD, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
+		"sqrtsd":    func(b *asm.Builder) { b.I(x86.SQRTSD, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
+		"cvtsi2sd":  func(b *asm.Builder) { b.I(x86.CVTSI2SD, x86.X(x86.XMM0), x86.R64(x86.RCX)) },
+		"addss":     func(b *asm.Builder) { b.I(x86.ADDSS, x86.X(x86.XMM0), x86.X(x86.XMM1)) },
+		"movq m64":  func(b *asm.Builder) { b.I(x86.MOVQ, x86.X(x86.XMM0), x86.MemBD(8, x86.RDX, 0)) },
 	}
 	for name, body := range bodies {
 		code := assembleAt(t, 0x5000, func(b *asm.Builder) {

@@ -33,13 +33,22 @@ import (
 // takeExit always reads authoritative memory, and per-site resume entries
 // reload it.
 //
-// Memory accesses check their cached region bounds (and the line-split
-// penalty and, for stores, the region watch flag) inline against the site
-// descriptor; any failure jumps to a per-site miss stub that records the
-// faulting address and returns to the Go wrapper, which re-runs the VM's
-// exact region/watch/penalty logic — refilling the site and resuming at the
-// site's recheck label, or deoptimizing through takeExit. The backedge SMC
-// check dereferences the Memory code-generation word directly.
+// Memory accesses check their cached region bounds (and, for stores, the
+// region watch flag, and for MOVAPD the 16-byte alignment) inline against
+// the site descriptor; any failure jumps to a per-site miss stub that records
+// the faulting address and returns to the Go wrapper, which re-runs the VM's
+// exact region/watch/alignment logic — refilling the site and resuming at
+// the site's recheck label, or deoptimizing through takeExit. A 16-byte
+// access is one site, checked once over all 16 bytes and moved as two
+// 8-byte halves. Once the checks pass, the VM's conservative penalty test
+// (a line split, or a misaligned 16-byte access) runs inline at every site
+// but a 1-byte access and a stack slot, which carry no penalty; a hit jumps
+// to a per-site log stub that appends (iteration, site, address) to the
+// penalty log behind the slots and returns to the access. An entry that
+// leaves too little room for the next iteration lowers the iteration cap, so
+// that the run leaves through the iteration-cap exit at the next loop
+// header. The backedge SMC check dereferences the Memory code-generation
+// word directly.
 
 // nativeChunkInsts bounds the instructions retired per traceEnter call so
 // the goroutine re-enters Go regularly (async preemption cannot interrupt
@@ -59,9 +68,10 @@ var natPinnable = []x86.Reg{
 }
 
 type natSite struct {
-	size  uint64
-	write bool
-	exit  int32 // vm exit index to deopt through on fault/watch/penalty
+	size    uint64
+	write   bool
+	aligned bool
+	exit    int32 // vm exit index to deopt through on fault/watch/alignment
 }
 
 // nativeProg is a trace compiled to host code. Like the vmProg it wraps, it
@@ -74,6 +84,7 @@ type nativeProg struct {
 	sites    []natSite
 	template []uint64
 	scratch  []uint64
+	pens     emu.TracePenalties
 	chunk    uint64 // per-entry iteration cap (preemption bound)
 
 	// Word indices into the state buffer.
@@ -82,12 +93,11 @@ type nativeProg struct {
 	startGenOff int32
 	genPtrOff   int32
 	siteBase    int32 // 4 words per site: start, limit, delta, watchPtr
-	capExit     int32 // exit index of the iteration-cap exit (not a deopt)
 }
 
 // run implements emu.TraceRunFunc natively. See vmProg.run for the
 // interpreted reference semantics.
-func (p *nativeProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) {
+func (p *nativeProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64, pens *emu.TracePenalties) {
 	slots := p.scratch
 	if iterCap > p.chunk {
 		iterCap = p.chunk
@@ -100,25 +110,25 @@ func (p *nativeProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint
 		traceEnter(entry, &slots[0])
 		tok := slots[p.exitTokOff]
 		if tok < natMissBase {
-			if int32(tok) != p.capExit {
+			if int32(tok) != p.vm.capExit {
 				emu.CountTraceNativeDeopt()
 			}
-			i, s, r := p.vm.takeExit(m, int32(tok), slots)
+			iters, steps, rip = p.vm.takeExit(m, int32(tok), slots)
 			runtime.KeepAlive(p)
-			return i, s, r
+			return iters, steps, rip, penaltyLog(&p.pens, slots, len(p.template))
 		}
 		// Site miss: the inline check failed. Re-run the VM's exact
-		// region/watch/penalty decision and either refill the site
+		// region/watch/alignment decision and either refill the site
 		// descriptor and resume, or deoptimize pre-instruction.
 		k := tok - natMissBase
 		ms := &p.sites[k]
 		addr := slots[p.missAddrOff]
 		r := p.vm.mem.FindRegion(addr, int(ms.size))
-		if r == nil || (ms.write && r.Watched()) || p.vm.penalized(addr, ms.size, ms.write) {
+		if r == nil || (ms.write && r.Watched()) || (ms.aligned && addr&15 != 0) {
 			emu.CountTraceNativeDeopt()
-			i, s, rp := p.vm.takeExit(m, ms.exit, slots)
+			iters, steps, rip = p.vm.takeExit(m, ms.exit, slots)
 			runtime.KeepAlive(p)
-			return i, s, rp
+			return iters, steps, rip, penaltyLog(&p.pens, slots, len(p.template))
 		}
 		base := p.siteBase + 4*int32(k)
 		slots[base+0] = r.Start
@@ -142,6 +152,8 @@ type natBuilder struct {
 	missLabel   []asm.Label // per site (cold stub)
 	recheckLbl  []asm.Label // per site (hot re-entry point)
 	resumeLabel []asm.Label // per site (reload pinned, jmp recheck)
+	logLabel    []asm.Label // per site (cold stub appending to the penalty log)
+	loggedLabel []asm.Label // per site (hot, after the penalty test)
 
 	constVal map[int32]uint64 // slots never written at run time
 	bufBase  int32            // scratch words for cyclic phi moves
@@ -149,7 +161,7 @@ type natBuilder struct {
 
 // buildNative compiles vm to host code. An error means the trace stays on
 // the bytecode VM; nothing observable has happened.
-func buildNative(vm *vmProg, prog *lift.TraceProgram, head uint64, o3 bool) (*nativeProg, error) {
+func buildNative(vm *vmProg, prog *lift.TraceProgram, o3 bool) (*nativeProg, error) {
 	if !nativeTraceOK {
 		return nil, fmt.Errorf("jit: native traces unsupported on this platform")
 	}
@@ -159,7 +171,7 @@ func buildNative(vm *vmProg, prog *lift.TraceProgram, head uint64, o3 bool) (*na
 	if vm.lineMask > 0x7FFFFFFF {
 		return nil, fmt.Errorf("jit: cache line too large for inline checks")
 	}
-	p := &nativeProg{vm: vm}
+	p := &nativeProg{vm: vm, pens: emu.TracePenalties{Sites: vm.pens.Sites}}
 	nb := &natBuilder{p: p, vm: vm, b: asm.NewBuilder(), pin: map[int32]x86.Reg{}}
 
 	// Extend the VM template with control words, the cyclic-move buffer and
@@ -185,26 +197,16 @@ func buildNative(vm *vmProg, prog *lift.TraceProgram, head uint64, o3 bool) (*na
 		word(0) // watch pointer
 	}
 	p.template = tmpl
-	p.scratch = make([]uint64, len(tmpl))
+	p.scratch = make([]uint64, len(tmpl)+vm.logWords)
 
-	// Per-site metadata and the cap-exit index (for deopt accounting: the
-	// iteration-cap exit is the one normal way out of the loop).
+	// Per-site metadata.
 	p.sites = make([]natSite, len(vm.sites))
 	for _, op := range vm.code {
 		switch op.code {
 		case vLoad:
-			p.sites[op.b] = natSite{size: uint64(op.aux), exit: op.t0}
+			p.sites[op.b] = natSite{size: uint64(op.aux), aligned: vm.sites[op.b].aligned, exit: op.t0}
 		case vStore:
-			p.sites[op.dst] = natSite{size: uint64(op.aux), write: true, exit: op.t0}
-		}
-	}
-	p.capExit = -1
-	genSt := prog.Exits[prog.GenExit]
-	for i := range vm.exits {
-		st := vm.exits[i].st
-		if st.Steps == 0 && st.RIP == head && st != genSt {
-			p.capExit = int32(i)
-			break
+			p.sites[op.dst] = natSite{size: uint64(op.aux), write: true, aligned: vm.sites[op.dst].aligned, exit: op.t0}
 		}
 	}
 	if t := prog.NumSteps; t > 0 {
@@ -265,9 +267,15 @@ func (nb *natBuilder) slotUses() map[int32]int {
 		case vLoad:
 			add(op.dst)
 			add(op.a)
+			if op.aux == 16 {
+				add(op.t1)
+			}
 		case vStore:
 			add(op.a)
 			add(op.b)
+			if op.aux == 16 {
+				add(op.t1)
+			}
 		}
 	}
 	for i := range nb.vm.moves {
@@ -324,6 +332,9 @@ func (nb *natBuilder) findConsts() {
 			vFAdd, vFSub, vFMul, vFDiv,
 			vICmp, vBrICmp, vSelect, vCtpop, vCopy, vTrunc, vSExt, vLoad:
 			written[op.dst] = true
+			if op.code == vLoad && op.aux == 16 {
+				written[op.t1] = true
+			}
 		}
 	}
 	for i := range nb.vm.moves {
@@ -438,10 +449,14 @@ func (nb *natBuilder) emit() error {
 	nb.missLabel = make([]asm.Label, len(vm.sites))
 	nb.recheckLbl = make([]asm.Label, len(vm.sites))
 	nb.resumeLabel = make([]asm.Label, len(vm.sites))
+	nb.logLabel = make([]asm.Label, len(vm.sites))
+	nb.loggedLabel = make([]asm.Label, len(vm.sites))
 	for i := range vm.sites {
 		nb.missLabel[i] = b.NewLabel()
 		nb.recheckLbl[i] = b.NewLabel()
 		nb.resumeLabel[i] = b.NewLabel()
+		nb.logLabel[i] = b.NewLabel()
+		nb.loggedLabel[i] = b.NewLabel()
 	}
 
 	// Entry: the trampoline has R15 = &slots[0]; populate pinned registers
@@ -476,6 +491,33 @@ func (nb *natBuilder) emit() error {
 		b.Bind(nb.resumeLabel[k])
 		nb.reloadPins()
 		b.Jmp(nb.recheckLbl[k])
+
+		// Log stub: RAX holds the guest address. Append (iteration, k,
+		// address) at entry n = [pen], that is at words pen+1+3n.., count
+		// it, and past the most entries an iteration may start with, lower
+		// the iteration cap so that the next header check ends the run.
+		if !vm.sites[k].logs {
+			continue
+		}
+		b.Bind(nb.logLabel[k])
+		pen := int32(len(nb.p.template))
+		entry := func(word int32) x86.Operand { return x86.MemBIS(8, x86.R15, x86.RDX, 8, 8*(pen+1+word)) }
+		b.I(x86.MOV, x86.R64(x86.RCX), nb.slotMem(pen))
+		b.I(x86.LEA, x86.R64(x86.RDX), x86.MemBIS(8, x86.RCX, x86.RCX, 2, 0))
+		b.I(x86.ADD, x86.R64(x86.RCX), x86.Imm(1, 8))
+		b.I(x86.MOV, nb.slotMem(pen), x86.R64(x86.RCX))
+		roomy := b.NewLabel()
+		b.I(x86.CMP, x86.R64(x86.RCX), x86.Imm(int64(nb.vm.penCap-nb.vm.penSites), 8))
+		b.Jcc(x86.CondBE, roomy)
+		nb.load(x86.RCX, nb.vm.ctrSlot)
+		b.I(x86.ADD, x86.R64(x86.RCX), x86.Imm(1, 8))
+		nb.store(lift.TraceParamCap, x86.RCX)
+		b.Bind(roomy)
+		nb.load(x86.RCX, nb.vm.ctrSlot)
+		b.I(x86.MOV, entry(0), x86.R64(x86.RCX))
+		b.I(x86.MOV, entry(1), x86.Imm(int64(k), 8))
+		b.I(x86.MOV, entry(2), x86.R64(x86.RAX))
+		b.Jmp(nb.loggedLabel[k])
 	}
 	return nil
 }
@@ -621,6 +663,10 @@ func (nb *natBuilder) emitOp(pc int32) error {
 			b.I(x86.MOVZX, x86.R64(x86.RDX), x86.MemBD(2, x86.RAX, 0))
 		case 4:
 			b.I(x86.MOV, x86.R32(x86.RDX), x86.MemBD(4, x86.RAX, 0))
+		case 16:
+			b.I(x86.MOV, x86.R64(x86.RDX), x86.MemBD(8, x86.RAX, 8))
+			nb.store(op.t1, x86.RDX)
+			fallthrough
 		default:
 			b.I(x86.MOV, x86.R64(x86.RDX), x86.MemBD(8, x86.RAX, 0))
 		}
@@ -628,6 +674,10 @@ func (nb *natBuilder) emitOp(pc int32) error {
 
 	case vStore:
 		nb.emitSiteCheck(op.dst, op.a, uint64(op.aux), true)
+		if op.aux == 16 {
+			nb.load(x86.RDX, op.t1)
+			b.I(x86.MOV, x86.MemBD(8, x86.RAX, 8), x86.R64(x86.RDX))
+		}
 		nb.load(x86.RDX, op.b)
 		switch op.aux {
 		case 1:
@@ -695,10 +745,12 @@ func (nb *natBuilder) emitMoves(idx int32) {
 	}
 }
 
-// emitSiteCheck emits the inline region check for memory site k: bounds
-// against the site descriptor, the store watch flag, and the line-split
-// penalty. On success RAX holds the host address; any failure jumps to the
-// site's miss stub with the guest address still in RAX.
+// emitSiteCheck emits the inline checks of memory site k: bounds against
+// the site descriptor, the store watch flag and MOVAPD alignment, any
+// failure jumping to the site's miss stub with the guest address in RAX;
+// then, at a site that logs (vmSite), the penalty test, a hit jumping to
+// the site's log stub, which comes back. On the way out RAX holds the host
+// address.
 func (nb *natBuilder) emitSiteCheck(k, addrSlot int32, size uint64, write bool) {
 	b := nb.b
 	b.Bind(nb.recheckLbl[k])
@@ -714,12 +766,23 @@ func (nb *natBuilder) emitSiteCheck(k, addrSlot int32, size uint64, write bool) 
 		b.I(x86.TEST, x86.R32(x86.RCX), x86.R32(x86.RCX))
 		b.Jcc(x86.CondNE, nb.missLabel[k])
 	}
-	if mask := nb.vm.lineMask; mask != 0 && size > 1 {
+	site := nb.vm.sites[k]
+	if size == 16 { // a 16-byte site is never a stack slot, so it logs
+		b.I(x86.TEST, x86.R8L(x86.RAX), x86.Imm(15, 1))
+		if site.aligned {
+			b.Jcc(x86.CondNE, nb.missLabel[k])
+		} else {
+			b.Jcc(x86.CondNE, nb.logLabel[k])
+		}
+	}
+	// A 16-byte aligned access splits no line of 16 bytes or more.
+	if mask := nb.vm.lineMask; site.logs && mask != 0 && (size < 16 || mask < 15) {
 		// (addr & mask) + size > mask+1  ⇔  addr & mask > mask+1-size
 		b.I(x86.MOV, x86.R64(x86.RCX), x86.R64(x86.RAX))
 		b.I(x86.AND, x86.R64(x86.RCX), x86.Imm(int64(mask), 8))
-		b.I(x86.CMP, x86.R64(x86.RCX), x86.Imm(int64(mask+1-size), 8))
-		b.Jcc(x86.CondA, nb.missLabel[k])
+		b.I(x86.CMP, x86.R64(x86.RCX), x86.Imm(int64(mask+1)-int64(size), 8))
+		b.Jcc(x86.CondG, nb.logLabel[k])
 	}
+	b.Bind(nb.loggedLabel[k])
 	b.I(x86.ADD, x86.R64(x86.RAX), nb.slotMem(base+2))
 }

@@ -89,9 +89,10 @@ func TestTraceNativeVsVMDifferential(t *testing.T) {
 }
 
 // TestTraceNativeDeoptBattery drives every native deopt shape — SMC store,
-// memory fault, line-split penalty, budget cutoff mid-trace — through the
-// interpreter, the bytecode VM, and the native backend, demanding identical
-// state including Cycles and error text.
+// memory fault, budget cutoff mid-trace — and a line-split penalty, which a
+// trace logs rather than deoptimizes on, through the interpreter, the
+// bytecode VM, and the native backend, demanding identical state including
+// Cycles and error text.
 func TestTraceNativeDeoptBattery(t *testing.T) {
 	if !nativeTraceOK {
 		t.Skip("no native trace backend on this platform")

@@ -48,8 +48,8 @@ const (
 	vBr    // a = move set (-1 none), t0 = target pc
 	vCondBr
 	vBrICmp // fused compare+branch; aux = pred, also writes dst
-	vLoad   // aux = size, b = region site, t0 = deopt exit
-	vStore  // aux = size, dst = region site, t0 = deopt exit
+	vLoad   // aux = size, b = site, t0 = deopt exit, t1 = high-lane slot of a 16-byte load
+	vStore  // aux = size, dst = site, b = value (low lane), t0 = deopt exit, t1 = high lane
 	vGenCheck
 	vExit // a = exit index
 )
@@ -86,35 +86,113 @@ type vmExit struct {
 type vmProg struct {
 	code     []vmOp
 	template []uint64
-	scratch  []uint64
-	buf      []uint64
-	moves    []vmMoves
-	exits    []vmExit
-	sites    []*emu.Region
-	regIdx   []int
-	xmmIdx   []int // XMM registers written back at every exit
-	xmmIn    []int // XMM registers whose lanes are loaded on entry
-	mem      *emu.Memory
-	cost     *emu.CostModel
-	// lineMask enables the inlined penalty test (cache line size - 1) for
-	// power-of-two lines with a nonzero split penalty; penCall falls back
-	// to CostModel.MemPenalty for exotic models; both zero/false means
-	// accesses can never be penalized (sizes in traces are at most 8).
+	// scratch is the slot buffer of a run: the template image, then the
+	// logWords of the penalty log (see penaltyLog). It is made on the
+	// VM's first run, so that a trace run natively carries only the
+	// native program's buffer.
+	scratch []uint64
+	buf     []uint64
+	moves   []vmMoves
+	exits   []vmExit
+	sites   []vmSite
+	pens    emu.TracePenalties // Sites: the static side of sites
+	regIdx  []int
+	xmmIdx  []int // XMM registers written back at every exit
+	xmmIn   []int // XMM registers whose lanes are loaded on entry
+	mem     *emu.Memory
+	cost    *emu.CostModel
+	// lineMask enables the inlined line-split test (cache line size - 1)
+	// for power-of-two lines with a nonzero split penalty; penCall falls
+	// back to CostModel.MemPenalty for exotic models.
 	lineMask uint64
 	penCall  bool
+	// ctrSlot holds the iteration counter and capExit is the iteration-cap
+	// exit. penCap - penSites is the most log entries a run may hold at the
+	// top of an iteration: each of the penSites sites that log adds at most
+	// one entry per iteration, so an entry past it lowers the iteration cap
+	// to end the run at the next loop header. The log holds penCap entries
+	// of 3 words behind a count, logWords in all, or none without a site
+	// that logs.
+	ctrSlot                    int32
+	capExit                    int32
+	penCap, penSites, logWords int
 }
 
-// penalized reports whether a size-byte access at addr would carry a memory
-// penalty, in which case it must deoptimize (in-trace accesses are charged
-// zero extra cycles).
-func (p *vmProg) penalized(addr, size uint64, write bool) bool {
-	if p.lineMask != 0 {
+// vmSite is a memory site: the region of its last access, whether it is a
+// MOVAPD access that must be 16-byte aligned, and whether it logs accesses
+// that may carry a penalty. A 1-byte access never carries one, and the
+// emulator charges none to a stack slot (lift.TraceMem.Stack).
+type vmSite struct {
+	r       *emu.Region
+	aligned bool
+	logs    bool
+}
+
+// penLogMin is the least number of entries a penalty log holds. A run whose
+// log could overflow in its next iteration leaves through the iteration-cap
+// exit at the loop header, and the dispatcher re-enters the trace after
+// charging the log.
+const penLogMin = 512
+
+// mayPenalize is the conservative inline test for an access that may carry
+// a memory penalty: a misaligned 16-byte access, or one that splits a cache
+// line. It may report an access whose penalty is zero, never the reverse.
+func (p *vmProg) mayPenalize(addr, size uint64, write bool) bool {
+	switch {
+	case size == 16 && addr&15 != 0:
+		return true
+	case p.lineMask != 0:
 		return (addr&p.lineMask)+size > p.lineMask+1
-	}
-	if p.penCall {
+	case p.penCall:
 		return p.cost.MemPenalty(addr, int(size), write) != 0
 	}
 	return false
+}
+
+// access resolves a size-byte access at addr through site k and returns its
+// bytes, or false when it must deoptimize before the instruction: the address
+// is unmapped, a store hits a watched (code-bearing) region — stores there
+// must bump the code generation through the tracked write path — or a
+// MOVAPD address is not 16-byte aligned. An access of a logging site that
+// may carry a penalty is appended to the run's penalty log; once the log
+// could overflow in the next iteration, the iteration cap drops to end the
+// run at the next header.
+func (p *vmProg) access(slots []uint64, k int32, addr, size uint64, write bool) ([]byte, bool) {
+	s := &p.sites[k]
+	r := s.r
+	if r == nil || addr < r.Start || addr+size > r.End() {
+		if r = p.mem.FindRegion(addr, int(size)); r == nil {
+			return nil, false
+		}
+		s.r = r
+	}
+	if write && r.Watched() || s.aligned && addr&15 != 0 {
+		return nil, false
+	}
+	if s.logs && p.mayPenalize(addr, size, write) {
+		at := len(p.template)
+		n := slots[at]
+		e := at + 1 + 3*int(n)
+		slots[e], slots[e+1], slots[e+2] = slots[p.ctrSlot], uint64(k), addr
+		if slots[at] = n + 1; int(n) >= p.penCap-p.penSites {
+			slots[lift.TraceParamCap] = slots[p.ctrSlot] + 1
+		}
+	}
+	return r.Data[addr-r.Start:], true
+}
+
+// logs reports whether the accesses of site mm may carry a penalty (vmSite).
+func logs(mm *lift.TraceMem) bool { return mm.Size > 1 && !mm.Stack }
+
+// penaltyLog sets pens to the penalty log of the run that just ended in
+// slots, whose template image is at words long, and returns it; nil when the
+// trace has no log.
+func penaltyLog(pens *emu.TracePenalties, slots []uint64, at int) *emu.TracePenalties {
+	if len(slots) == at {
+		return nil
+	}
+	pens.Log = slots[at+1 : at+1+3*int(slots[at])]
+	return pens
 }
 
 func vmask(bits uint8) uint64 {
@@ -143,7 +221,10 @@ func vsext(v uint64, size uint8) int64 {
 // run executes the trace. See emu.TraceRunFunc for the contract; the caller
 // guarantees iterCap >= 1, so the first header cap-check never fires before
 // an iteration has completed and the loop-carried phis hold real values.
-func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) {
+func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64, pens *emu.TracePenalties) {
+	if p.scratch == nil {
+		p.scratch = make([]uint64, len(p.template)+p.logWords)
+	}
 	slots := p.scratch
 	p.enter(slots, p.template, m, iterCap)
 	startGen := p.mem.CodeGen()
@@ -219,72 +300,67 @@ func (p *vmProg) run(m *emu.Machine, iterCap uint64) (iters, steps, rip uint64) 
 			}
 			continue
 		case vLoad:
-			addr, size := slots[op.a], uint64(op.aux)
-			r := p.sites[op.b]
-			if r == nil || addr < r.Start || addr+size > r.End() {
-				r = p.mem.FindRegion(addr, int(size))
-				if r == nil {
-					return p.takeExit(m, op.t0, slots) // fault: re-execute in the block engine
-				}
-				p.sites[op.b] = r
+			d, ok := p.access(slots, op.b, slots[op.a], uint64(op.aux), false)
+			if !ok {
+				return p.finish(m, op.t0, slots)
 			}
-			if p.penalized(addr, size, false) {
-				return p.takeExit(m, op.t0, slots) // penalized access: exact cycle accounting needs the block engine
-			}
-			d := r.Data[addr-r.Start:]
-			switch size {
+			switch op.aux {
 			case 1:
 				slots[op.dst] = uint64(d[0])
 			case 2:
 				slots[op.dst] = uint64(binary.LittleEndian.Uint16(d))
 			case 4:
 				slots[op.dst] = uint64(binary.LittleEndian.Uint32(d))
+			case 16:
+				slots[op.t1] = binary.LittleEndian.Uint64(d[8:])
+				fallthrough
 			default:
 				slots[op.dst] = binary.LittleEndian.Uint64(d)
 			}
 		case vStore:
-			addr, size := slots[op.a], uint64(op.aux)
-			r := p.sites[op.dst]
-			if r == nil || addr < r.Start || addr+size > r.End() {
-				r = p.mem.FindRegion(addr, int(size))
-				if r == nil {
-					return p.takeExit(m, op.t0, slots)
-				}
-				p.sites[op.dst] = r
+			d, ok := p.access(slots, op.dst, slots[op.a], uint64(op.aux), true)
+			if !ok {
+				return p.finish(m, op.t0, slots)
 			}
-			if r.Watched() || p.penalized(addr, size, true) {
-				// Stores into code-bearing regions must go through the
-				// tracked write path (they bump the code generation).
-				return p.takeExit(m, op.t0, slots)
-			}
-			d := r.Data[addr-r.Start:]
 			v := slots[op.b]
-			switch size {
+			switch op.aux {
 			case 1:
 				d[0] = byte(v)
 			case 2:
 				binary.LittleEndian.PutUint16(d, uint16(v))
 			case 4:
 				binary.LittleEndian.PutUint32(d, uint32(v))
+			case 16:
+				binary.LittleEndian.PutUint64(d[8:], slots[op.t1])
+				fallthrough
 			default:
 				binary.LittleEndian.PutUint64(d, v)
 			}
 		case vGenCheck:
 			if p.mem.CodeGen() != startGen {
-				return p.takeExit(m, op.t0, slots)
+				return p.finish(m, op.t0, slots)
 			}
 		case vExit:
-			return p.takeExit(m, op.a, slots)
+			return p.finish(m, op.a, slots)
 		}
 		pc++
 	}
 }
 
+// finish leaves a run through exit idx with the run's penalty log.
+func (p *vmProg) finish(m *emu.Machine, idx int32, slots []uint64) (iters, steps, rip uint64, pens *emu.TracePenalties) {
+	iters, steps, rip = p.takeExit(m, idx, slots)
+	return iters, steps, rip, penaltyLog(&p.pens, slots, len(p.template))
+}
+
 // enter stages the trace parameters: template image, then the machine's
 // GPRs, flags, the lanes of the XMM registers the trace touches, and the
-// iteration cap.
+// iteration cap; and it empties the penalty log behind the template.
 func (p *vmProg) enter(slots, template []uint64, m *emu.Machine, iterCap uint64) {
 	copy(slots, template)
+	if len(slots) > len(template) {
+		slots[len(template)] = 0
+	}
 	copy(slots[:16], m.GPR[:])
 	f := &m.Flags
 	slots[lift.TraceParamFlags+0] = b2u(f.CF)
@@ -418,6 +494,7 @@ type vmBuilder struct {
 	exitIdx map[*ir.Inst]int32
 	fixups  []vmFixup
 	maxMove int
+	hiCalls map[*ir.Inst]bool // trace.load16hi calls, realized by their load
 }
 
 type vmFixup struct {
@@ -447,6 +524,7 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 		cslot:   make(map[ir.Value]int32),
 		blockPC: make(map[*ir.Block]int32),
 		exitIdx: make(map[*ir.Inst]int32),
+		hiCalls: make(map[*ir.Inst]bool),
 	}
 	f := prog.F
 	// Parameters own the first slots, at their parameter index.
@@ -459,11 +537,29 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 			}
 		}
 	}
+	for _, mm := range prog.Mems {
+		if logs(mm) {
+			pv.penSites++
+		}
+		if mm.Hi != nil {
+			b.hiCalls[mm.Hi] = true
+		}
+	}
+	ctr, ok := b.slot[prog.Ctr]
+	if !ok {
+		return nil, fmt.Errorf("jit: trace VM: iteration counter optimized away")
+	}
+	pv.ctrSlot = ctr
 	for _, blk := range f.Blocks {
 		if err := b.emitBlock(blk); err != nil {
 			return nil, err
 		}
 	}
+	capExit, err := b.exitFor(prog.CapExit)
+	if err != nil {
+		return nil, err
+	}
+	pv.capExit = capExit
 	for _, fx := range b.fixups {
 		pc, ok := b.blockPC[fx.target]
 		if !ok {
@@ -475,7 +571,10 @@ func buildVM(prog *lift.TraceProgram, mem *emu.Memory, cost *emu.CostModel) (*vm
 			b.p.code[fx.op].t1 = pc
 		}
 	}
-	b.p.scratch = make([]uint64, len(b.p.template))
+	b.p.penCap = max(penLogMin, b.p.penSites)
+	if b.p.penSites > 0 {
+		b.p.logWords = 1 + 3*b.p.penCap
+	}
 	b.p.buf = make([]uint64, b.maxMove)
 	return b.p, nil
 }
@@ -769,6 +868,9 @@ func (b *vmBuilder) emitBlock(blk *ir.Block) error {
 				b.emit(vmOp{code: vExit, a: idx})
 				return nil // the rest of the block is unreachable
 			}
+			if b.hiCalls[in] {
+				continue // its 16-byte load wrote the slot
+			}
 			mm := b.prog.Mems[in]
 			if mm == nil {
 				return fmt.Errorf("jit: trace VM: unexpected call to %s", in.Callee.Nam)
@@ -778,7 +880,8 @@ func (b *vmBuilder) emitBlock(blk *ir.Block) error {
 				return err
 			}
 			site := int32(len(b.p.sites))
-			b.p.sites = append(b.p.sites, nil)
+			b.p.sites = append(b.p.sites, vmSite{aligned: mm.Aligned, logs: logs(mm)})
+			b.p.pens.Sites = append(b.p.pens.Sites, emu.TraceSite{Step: uint32(mm.Step), Size: uint8(mm.Size), Write: mm.Write})
 			addr, err := b.slotOf(in.Args[0])
 			if err != nil {
 				return err
@@ -788,9 +891,23 @@ func (b *vmBuilder) emitBlock(blk *ir.Block) error {
 				if err != nil {
 					return err
 				}
-				b.emit(vmOp{code: vStore, aux: uint8(mm.Size), dst: site, a: addr, b: val, t0: exit})
+				op := vmOp{code: vStore, aux: uint8(mm.Size), dst: site, a: addr, b: val, t0: exit}
+				if mm.Size == 16 {
+					if op.t1, err = b.slotOf(in.Args[2]); err != nil {
+						return err
+					}
+				}
+				b.emit(op)
 			} else {
-				b.emit(vmOp{code: vLoad, aux: uint8(mm.Size), dst: b.slot[in], a: addr, b: site, t0: exit})
+				op := vmOp{code: vLoad, aux: uint8(mm.Size), dst: b.slot[in], a: addr, b: site, t0: exit}
+				if mm.Size == 16 {
+					hi, ok := b.slot[mm.Hi]
+					if !ok {
+						return fmt.Errorf("jit: trace VM: 16-byte load without its high lane")
+					}
+					op.t1 = hi
+				}
+				b.emit(op)
 			}
 
 		case ir.OpBr:

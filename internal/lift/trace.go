@@ -40,15 +40,17 @@ import (
 //
 // XMM registers are modelled as a pair of i64 lanes (lo, hi) beside the 16
 // GPRs: live-in parameters, header phis and exit arguments per written
-// register, exactly like a GPR. The supported SSE2 subset is scalar double —
-// MOVSD, ADDSD/SUBSD/MULSD/DIVSD with a register or 8-byte memory source —
-// plus the register forms of PXOR/XORPD/XORPS, MOVAPD/MOVAPS/MOVDQA and
-// MOVQ (xmm-xmm, and xmm-r64 either way: how the JIT materializes a double
-// constant), which only shuffle or xor lanes. Arithmetic is fadd/fsub/fmul/fdiv
-// on the bitcast low lane with no fast-math flag, so the optimizer may fold
-// nothing the hardware would not compute. None of them touches the flags.
-// 16-byte memory operands stay out because their unaligned-vector penalty
-// would deoptimize every iteration, and the flag-writing compares because
+// register, exactly like a GPR. The supported SSE2 subset is the scalar and
+// packed double arithmetic the Sec. VI kernels use — MOVSD, ADDSD/SUBSD/
+// MULSD/DIVSD with a register or 8-byte memory source, ADDPD/SUBPD/MULPD with
+// a register or 16-byte memory source, MOVUPD/MOVAPD loads and stores of 16
+// bytes — plus the register forms of PXOR/XORPD/XORPS, MOVAPD/MOVUPD/MOVAPS/
+// MOVDQA and MOVQ (xmm-xmm, and xmm-r64 either way: how the JIT materializes
+// a double constant), which only shuffle or xor lanes. Arithmetic is
+// fadd/fsub/fmul/fdiv on the bitcast lanes — the low lane, or each lane in
+// turn with the destination's lane as the first operand — with no fast-math
+// flag, so the optimizer may fold nothing the hardware would not compute.
+// None of them touches the flags. The flag-writing compares stay out because
 // they need a flag recipe of their own.
 //
 // A trace may run through direct calls and their returns. CALL, PUSH r64,
@@ -57,13 +59,20 @@ import (
 // the recorded successor, leaving through its pre-instruction exit when the
 // callee returned elsewhere. None of them touches the flags.
 //
-// Memory accesses become intrinsic calls ("trace.loadN"/"trace.storeN").
-// Any abnormal access — unmapped address, nonzero modelled penalty, or a
-// store into a watched (code-bearing) region — deoptimizes BEFORE the
-// owning instruction executes, so the block engine re-executes it with
-// exact fault, penalty, and self-modification semantics. Consequently an
-// in-trace access that does execute never carries a penalty, which is what
-// makes the caller's cycle replay exact.
+// Memory accesses become intrinsic calls ("trace.loadN"/"trace.storeN"),
+// one per access: a 16-byte access is a single site whose load yields its
+// high lane through "trace.load16hi". An access that cannot be performed
+// in-trace — unmapped address, a store into a watched (code-bearing)
+// region, or a MOVAPD at an address that is not 16-byte aligned —
+// deoptimizes BEFORE the owning instruction executes, so the block engine
+// re-executes it with exact fault and self-modification semantics. An
+// access that may carry a memory penalty runs in-trace and is logged; the
+// caller charges the logged penalties after each step's cost, as the block
+// engine does (emu.TracePenalties). The stack slot of a PUSH, POP, CALL or
+// RET is never logged, since the emulator charges it no penalty
+// (TraceMem.Stack). A CMOVcc reads a memory source only when it moves, as
+// the emulator does, so that neither a fault nor a penalty of an untaken
+// move exists in the trace.
 
 // TraceFlagKind identifies the symbolic flag recipe at an exit.
 type TraceFlagKind uint8
@@ -109,13 +118,23 @@ type TraceExit struct {
 	NArgs    int
 }
 
-// TraceMem is the static side of one memory intrinsic: the access width and
-// the deopt exit (a call in its own unreachable block) to take when the
-// access cannot be performed in-trace.
+// TraceMem is the static side of one memory intrinsic: the access width,
+// the step that performs it, and the deopt exit (a call in its own
+// unreachable block) to take when the access cannot be performed in-trace.
 type TraceMem struct {
 	Size  int
 	Write bool
+	// Aligned marks a MOVAPD access, which deoptimizes at an address that
+	// is not 16-byte aligned.
+	Aligned bool
+	// Stack marks the stack slot of a PUSH, POP, CALL or RET, which the
+	// emulator charges no memory penalty.
+	Stack bool
+	Step  int
 	Exit  *ir.Inst
+	// Hi is the trace.load16hi call yielding the high lane of a 16-byte
+	// load.
+	Hi *ir.Inst
 }
 
 // TraceProgram is a lifted trace plus its side tables.
@@ -139,7 +158,12 @@ type TraceProgram struct {
 	Backedge *ir.Block
 	// GenExit is the exit call for a failed generation check; its counter
 	// argument is already the incremented value.
-	GenExit  *ir.Inst
+	GenExit *ir.Inst
+	// Ctr is the iteration-counter phi of the loop header, and CapExit the
+	// exit call of its iteration-cap check, the one normal way out of the
+	// loop.
+	Ctr      *ir.Inst
+	CapExit  *ir.Inst
 	NumSteps int
 }
 
@@ -191,6 +215,7 @@ type traceLifter struct {
 	stepExits map[int]*ir.Inst // per-step shared deopt exit
 	loadFns   map[int]*ir.Func
 	storeFns  map[int]*ir.Func
+	hiFn      *ir.Func
 }
 
 // The trace parameter order and TFExplicit argument order both follow the
@@ -317,6 +342,7 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	}
 	capCond := l.b.ICmp(ir.PredUGE, l.ctrPhi, l.f.Params[TraceParamCap])
 	capExit := l.newExit(0, req.Head, l.ctrPhi, headState)
+	l.p.Ctr, l.p.CapExit = l.ctrPhi, capExit
 	body := l.f.NewBlock("")
 	l.b.CondBr(capCond, capExit.Parent, body)
 	l.b.SetBlock(body)
@@ -553,21 +579,23 @@ func checkMem(in *x86.Inst, o x86.Operand) error {
 func isTraceSSE(op x86.Op) bool {
 	switch op {
 	case x86.MOVSD_X, x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD,
+		x86.ADDPD, x86.SUBPD, x86.MULPD,
 		x86.PXOR, x86.XORPD, x86.XORPS,
-		x86.MOVAPD, x86.MOVAPS, x86.MOVDQA, x86.MOVQ, x86.MOVQGP:
+		x86.MOVAPD, x86.MOVUPD, x86.MOVAPS, x86.MOVDQA, x86.MOVQ, x86.MOVQGP:
 		return true
 	}
 	return false
 }
 
 // checkSSEOperands accepts xmm,xmm for every traced SSE op but MOVQGP
-// (xmm,r64 and r64,xmm), xmm,m64 for the scalar moves and arithmetic, and
-// m64,xmm for MOVSD. Everything else — the 16-byte memory forms above all —
-// is refused.
+// (xmm,r64 and r64,xmm), xmm,m64 for the scalar moves and arithmetic, m64,xmm
+// for MOVSD, xmm,m128 for the packed arithmetic and MOVUPD/MOVAPD, and
+// m128,xmm for those two moves. Everything else is refused.
 func checkSSEOperands(in *x86.Inst) error {
 	isX := func(o x86.Operand) bool { return o.Kind == x86.KReg && o.Reg.IsXMM() }
 	isR64 := func(o x86.Operand) bool { return o.Kind == x86.KReg && o.Reg.IsGP() && o.Size == 8 }
 	isM64 := func(o x86.Operand) bool { return o.Kind == x86.KMem && o.Size == 8 }
+	isM128 := func(o x86.Operand) bool { return o.Kind == x86.KMem && o.Size == 16 }
 	var ok bool
 	switch in.Op {
 	case x86.MOVQGP:
@@ -576,6 +604,10 @@ func checkSSEOperands(in *x86.Inst) error {
 		ok = isX(in.Dst) && (isX(in.Src) || isM64(in.Src)) || isM64(in.Dst) && isX(in.Src)
 	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
 		ok = isX(in.Dst) && (isX(in.Src) || isM64(in.Src))
+	case x86.MOVUPD, x86.MOVAPD:
+		ok = isX(in.Dst) && (isX(in.Src) || isM128(in.Src)) || isM128(in.Dst) && isX(in.Src)
+	case x86.ADDPD, x86.SUBPD, x86.MULPD:
+		ok = isX(in.Dst) && (isX(in.Src) || isM128(in.Src))
 	default:
 		ok = isX(in.Dst) && isX(in.Src)
 	}
@@ -703,39 +735,74 @@ func (l *traceLifter) loadFn(size int) *ir.Func {
 func (l *traceLifter) storeFn(size int) *ir.Func {
 	f := l.storeFns[size]
 	if f == nil {
-		f = ir.NewFunc(fmt.Sprintf("trace.store%d", size), ir.Void, ir.I64, ir.I64)
+		if size == 16 { // address, lo, hi
+			f = ir.NewFunc("trace.store16", ir.Void, ir.I64, ir.I64, ir.I64)
+		} else {
+			f = ir.NewFunc(fmt.Sprintf("trace.store%d", size), ir.Void, ir.I64, ir.I64)
+		}
 		l.storeFns[size] = f
 	}
 	return f
 }
 
 func (l *traceLifter) memLoad(k int, in *x86.Inst, o x86.Operand, size uint8) ir.Value {
-	exit := l.deoptExit(k, in)
-	return l.loadAt(exit, l.ea(in, o), int(size))
+	return l.loadAt(k, in, l.ea(in, o), int(size))
 }
 
 func (l *traceLifter) memStore(k int, in *x86.Inst, o x86.Operand, v ir.Value) {
-	exit := l.deoptExit(k, in)
-	l.storeAt(exit, l.ea(in, o), v, int(o.Size))
+	l.storeAt(k, in, l.ea(in, o), v, int(o.Size))
 }
 
-func (l *traceLifter) loadAt(exit *ir.Inst, addr ir.Value, size int) *ir.Inst {
+// loadAt and storeAt emit one memory site of step k, deoptimizing through
+// the step's pre-instruction exit.
+func (l *traceLifter) loadAt(k int, in *x86.Inst, addr ir.Value, size int) *ir.Inst {
 	call := l.b.Call(l.loadFn(size), addr)
-	l.p.Mems[call] = &TraceMem{Size: size, Exit: exit}
+	l.p.Mems[call] = &TraceMem{Size: size, Step: k, Exit: l.deoptExit(k, in)}
 	return call
 }
 
-func (l *traceLifter) storeAt(exit *ir.Inst, addr, v ir.Value, size int) {
+func (l *traceLifter) storeAt(k int, in *x86.Inst, addr, v ir.Value, size int) *ir.Inst {
 	call := l.b.Call(l.storeFn(size), addr, v)
-	l.p.Mems[call] = &TraceMem{Size: size, Write: true, Exit: exit}
+	l.p.Mems[call] = &TraceMem{Size: size, Write: true, Step: k, Exit: l.deoptExit(k, in)}
+	return call
+}
+
+// stackAt emits the 8-byte stack slot access of step k at rsp: a load, or
+// a store of v when v is not nil.
+func (l *traceLifter) stackAt(k int, in *x86.Inst, rsp, v ir.Value) *ir.Inst {
+	var call *ir.Inst
+	if v == nil {
+		call = l.loadAt(k, in, rsp, 8)
+	} else {
+		call = l.storeAt(k, in, rsp, v, 8)
+	}
+	l.p.Mems[call].Stack = true
+	return call
+}
+
+// load128 reads the 16-byte operand o as (lo, hi) lanes through one site.
+func (l *traceLifter) load128(k int, in *x86.Inst, o x86.Operand) [2]ir.Value {
+	lo := l.loadAt(k, in, l.ea(in, o), 16)
+	if l.hiFn == nil {
+		l.hiFn = ir.NewFunc("trace.load16hi", ir.I64, ir.I64)
+	}
+	hi := l.b.Call(l.hiFn, lo)
+	mm := l.p.Mems[lo]
+	mm.Hi, mm.Aligned = hi, in.Op == x86.MOVAPD
+	return [2]ir.Value{lo, hi}
+}
+
+// store128 writes the lanes v to the 16-byte operand o through one site.
+func (l *traceLifter) store128(k int, in *x86.Inst, o x86.Operand, v [2]ir.Value) {
+	call := l.b.Call(l.storeFn(16), l.ea(in, o), v[0], v[1])
+	l.p.Mems[call] = &TraceMem{Size: 16, Write: true, Aligned: in.Op == x86.MOVAPD, Step: k, Exit: l.deoptExit(k, in)}
 }
 
 // push lowers the stack half of PUSH and CALL: the 8-byte store of v below
 // rsp, then the new rsp.
 func (l *traceLifter) push(k int, in *x86.Inst, v ir.Value) {
-	exit := l.deoptExit(k, in)
 	sp := l.b.Sub(l.cur[x86.RSP], ir.Int(ir.I64, 8))
-	l.storeAt(exit, sp, v, 8)
+	l.stackAt(k, in, sp, v)
 	l.cur[x86.RSP] = sp
 }
 
@@ -1112,17 +1179,31 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 	case x86.CMOVCC:
 		cond := l.cond(in.Cond)
 		size := in.Dst.Size
-		// The source is read unconditionally; if that deoptimizes (fault
-		// or penalty) on an untaken cmov the exit state is the pre-state
-		// and the block engine re-executes with exact semantics.
-		v := l.readOpVal(k, in, in.Src, size)
-		taken := l.regMerge(in.Dst.Reg, size, v)
 		notTaken := l.cur[in.Dst.Reg]
 		if size == 4 {
 			// A 32-bit cmov zeroes the upper half even when not taken.
 			notTaken = l.b.And(notTaken, ir.Int(ir.I64, 0xFFFFFFFF))
 		}
-		l.cur[in.Dst.Reg] = l.b.Select(cond, taken, notTaken)
+		if in.Src.Kind != x86.KMem {
+			taken := l.regMerge(in.Dst.Reg, size, l.readOpVal(k, in, in.Src, size))
+			l.cur[in.Dst.Reg] = l.b.Select(cond, taken, notTaken)
+			break
+		}
+		// The emulator reads a memory source only when the move is taken:
+		// load, skip (an empty block, so that no conditional edge carries
+		// phi moves), and a join.
+		load, skip, join := l.f.NewBlock(""), l.f.NewBlock(""), l.f.NewBlock("")
+		l.b.CondBr(cond, load, skip)
+		l.b.SetBlock(load)
+		taken := l.regMerge(in.Dst.Reg, size, l.readOpVal(k, in, in.Src, size))
+		l.b.Br(join)
+		l.b.SetBlock(skip)
+		l.b.Br(join)
+		l.b.SetBlock(join)
+		v := l.b.Phi(ir.I64)
+		ir.AddIncoming(v, taken, load)
+		ir.AddIncoming(v, notTaken, skip)
+		l.cur[in.Dst.Reg] = v
 
 	case x86.SETCC:
 		cond := l.cond(in.Cond)
@@ -1134,7 +1215,7 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 	case x86.PUSH:
 		l.push(k, in, l.cur[in.Dst.Reg])
 	case x86.POP:
-		v := l.loadAt(l.deoptExit(k, in), l.cur[x86.RSP], 8)
+		v := l.stackAt(k, in, l.cur[x86.RSP], nil)
 		l.cur[x86.RSP] = l.b.Add(l.cur[x86.RSP], ir.Int(ir.I64, 8))
 		l.cur[in.Dst.Reg] = v
 	case x86.RET:
@@ -1142,7 +1223,7 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 		// guard re-checks the popped address on every run and leaves before
 		// the RET when the callee returned anywhere else.
 		exit := l.deoptExit(k, in)
-		to := l.loadAt(exit, l.cur[x86.RSP], 8)
+		to := l.stackAt(k, in, l.cur[x86.RSP], nil)
 		succ := l.req.Head
 		if k+1 < len(l.req.Steps) {
 			succ = l.req.Steps[k+1].In.Addr
@@ -1191,15 +1272,26 @@ func (l *traceLifter) liftSSE(k int, in *x86.Inst) {
 		return
 	}
 	// srcLo reads the low 64 bits of the source: register lane or 8-byte
-	// load through the deoptimizing intrinsic.
+	// load through the deoptimizing intrinsic; src reads both lanes.
 	srcLo := func() ir.Value {
 		if in.Src.Kind == x86.KMem {
 			return l.memLoad(k, in, in.Src, 8)
 		}
 		return l.curX[in.Src.Reg-x86.XMM0][0]
 	}
-	if in.Dst.Kind == x86.KMem { // movsd m64, xmm
-		l.memStore(k, in, in.Dst, l.curX[in.Src.Reg-x86.XMM0][0])
+	src := func() [2]ir.Value {
+		if in.Src.Kind == x86.KMem {
+			return l.load128(k, in, in.Src)
+		}
+		return l.curX[in.Src.Reg-x86.XMM0]
+	}
+	if in.Dst.Kind == x86.KMem { // movsd m64, xmm; movupd/movapd m128, xmm
+		s := l.curX[in.Src.Reg-x86.XMM0]
+		if in.Dst.Size == 16 {
+			l.store128(k, in, in.Dst, s)
+		} else {
+			l.memStore(k, in, in.Dst, s[0])
+		}
 		return
 	}
 	d := &l.curX[in.Dst.Reg-x86.XMM0]
@@ -1211,25 +1303,34 @@ func (l *traceLifter) liftSSE(k int, in *x86.Inst) {
 		}
 	case x86.MOVQ:
 		d[0], d[1] = srcLo(), zero
-	case x86.MOVAPD, x86.MOVAPS, x86.MOVDQA:
-		*d = l.curX[in.Src.Reg-x86.XMM0]
+	case x86.MOVAPD, x86.MOVUPD, x86.MOVAPS, x86.MOVDQA:
+		*d = src()
 	case x86.PXOR, x86.XORPD, x86.XORPS:
 		s := l.curX[in.Src.Reg-x86.XMM0]
 		d[0], d[1] = l.b.Xor(d[0], s[0]), l.b.Xor(d[1], s[1])
 	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
-		b := l.b.Bitcast(srcLo(), ir.Double)
-		a := l.b.Bitcast(d[0], ir.Double)
-		var r *ir.Inst
-		switch in.Op {
-		case x86.ADDSD:
-			r = l.b.FAdd(a, b)
-		case x86.SUBSD:
-			r = l.b.FSub(a, b)
-		case x86.MULSD:
-			r = l.b.FMul(a, b)
-		case x86.DIVSD:
-			r = l.b.FDiv(a, b)
-		}
-		d[0] = l.b.Bitcast(r, ir.I64)
+		d[0] = l.fop(in.Op, d[0], srcLo())
+	case x86.ADDPD, x86.SUBPD, x86.MULPD:
+		s := src()
+		d[0] = l.fop(in.Op, d[0], s[0])
+		d[1] = l.fop(in.Op, d[1], s[1])
 	}
+}
+
+// fop computes one double lane a OP b on i64 bit patterns; a is the
+// destination's lane, the first operand, as in the guest instruction.
+func (l *traceLifter) fop(op x86.Op, a, b ir.Value) ir.Value {
+	x, y := l.b.Bitcast(a, ir.Double), l.b.Bitcast(b, ir.Double)
+	var r *ir.Inst
+	switch op {
+	case x86.ADDSD, x86.ADDPD:
+		r = l.b.FAdd(x, y)
+	case x86.SUBSD, x86.SUBPD:
+		r = l.b.FSub(x, y)
+	case x86.MULSD, x86.MULPD:
+		r = l.b.FMul(x, y)
+	case x86.DIVSD:
+		r = l.b.FDiv(x, y)
+	}
+	return l.b.Bitcast(r, ir.I64)
 }
