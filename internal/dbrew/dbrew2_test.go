@@ -10,7 +10,9 @@ import (
 	"repro/internal/x86/asm"
 )
 
-// rewriteAndRun rewrites with fixations applied, then calls both versions.
+// rewriteAndRun rewrites with fixations applied, then calls both versions,
+// each on a fresh machine so the original's flags cannot leak into the
+// specialization's run.
 func rewriteAndRun(t *testing.T, mem *emu.Memory, sig abi.Signature,
 	cfgFn func(r *Rewriter), callArgs []uint64) (orig, spec uint64, r *Rewriter) {
 	t.Helper()
@@ -30,7 +32,7 @@ func rewriteAndRun(t *testing.T, mem *emu.Memory, sig abi.Signature,
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err = m.Call(newFn, emu.CallArgs{Ints: callArgs}, 100000)
+	spec, err = emu.NewMachine(mem).Call(newFn, emu.CallArgs{Ints: callArgs}, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

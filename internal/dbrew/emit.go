@@ -9,44 +9,6 @@ import (
 	"repro/internal/x86/asm"
 )
 
-// Per-flag abstract state: known (value in mstate.flags.f), valid (the
-// runtime flags register holds the architecturally correct value), or
-// poisoned (the defining instruction was eliminated and the flag value is
-// neither known nor present at runtime). Consuming a poisoned flag aborts
-// rewriting — the default handler then returns the original code.
-const (
-	fCF = 1 << iota
-	fPF
-	fAF
-	fZF
-	fSF
-	fOF
-	fAll = fCF | fPF | fAF | fZF | fSF | fOF
-)
-
-// flagsNeeded returns the flag mask a condition consumes.
-func flagsNeeded(c x86.Cond) uint8 {
-	switch c &^ 1 {
-	case x86.CondO:
-		return fOF
-	case x86.CondB:
-		return fCF
-	case x86.CondE:
-		return fZF
-	case x86.CondBE:
-		return fCF | fZF
-	case x86.CondS:
-		return fSF
-	case x86.CondP:
-		return fPF
-	case x86.CondL:
-		return fSF | fOF
-	case x86.CondLE:
-		return fZF | fSF | fOF
-	}
-	return fAll
-}
-
 type visitKey struct {
 	addr uint64
 	st   uint64
@@ -204,31 +166,29 @@ func (e *emitterState) step(st *mstate, in *x86.Inst) (uint64, bool, error) {
 		return 0, false, nil
 
 	case x86.JCC:
-		need := flagsNeeded(in.Cond)
-		switch {
-		case st.flags.known&need == need:
+		if need := in.Cond.Reads(); st.flags.known&need == need {
 			// Statically resolved: follow the taken/not-taken path without
 			// emitting — this is how full unrolling happens.
-			if emu.CondHoldsIn(st.flags.f, in.Cond) {
+			if emu.CondHoldsIn(emu.FlagState(st.flags.f), in.Cond) {
 				return uint64(in.Dst.Imm), false, nil
 			}
 			return 0, false, nil
-		case st.flags.valid&need == need:
-			// Dynamic branch: canonicalize the state (all known registers
-			// materialized) so that re-entering paths converge quickly,
-			// then emit the branch and fork the abstract state.
-			e.materializeAll(st)
-			taken := e.b.NewLabel()
-			e.queue = append(e.queue, workItem{
-				addr:  uint64(in.Dst.Imm),
-				st:    st.clone(),
-				label: taken,
-			})
-			e.b.Jcc(in.Cond, taken)
-			return 0, false, nil
-		default:
-			return 0, false, fmt.Errorf("%w: branch consumes eliminated flags at %#x", ErrUnsupported, in.Addr)
 		}
+		if err := e.useFlags(st, in); err != nil {
+			return 0, false, err
+		}
+		// Dynamic branch: canonicalize the state (all known registers
+		// materialized) so that re-entering paths converge quickly, then
+		// emit the branch and fork the abstract state.
+		e.materializeAll(st)
+		taken := e.b.NewLabel()
+		e.queue = append(e.queue, workItem{
+			addr:  uint64(in.Dst.Imm),
+			st:    st.clone(),
+			label: taken,
+		})
+		e.b.Jcc(in.Cond, taken)
+		return 0, false, nil
 	}
 	return 0, false, e.exec(st, in)
 }
@@ -352,11 +312,26 @@ func (e *emitterState) operandKnown(st *mstate, in *x86.Inst, op x86.Operand) (u
 	return 0, false
 }
 
-// setFlagsKnown records a fully known flag state.
-func (st *mstate) setFlagsKnown(f emu.Flags) {
-	st.flags.known = fAll
-	st.flags.valid = 0
-	st.flags.f = f
+// useFlags makes the flags an emitted instruction reads valid in the
+// runtime flags register. A flag whose producer was eliminated is
+// materialized when it is a known CF, with stc or clc; any other such flag
+// makes the rewrite refuse.
+func (e *emitterState) useFlags(st *mstate, in *x86.Inst) error {
+	read, _ := in.FlagEffects()
+	miss := read &^ st.flags.valid
+	if miss == x86.FlagCF && st.flags.known&x86.FlagCF != 0 {
+		if st.flags.f&x86.FlagCF != 0 {
+			e.emit(x86.Inst{Op: x86.STC})
+		} else {
+			e.emit(x86.Inst{Op: x86.CLC})
+		}
+		st.flags.valid |= x86.FlagCF
+		miss = 0
+	}
+	if miss != 0 {
+		return fmt.Errorf("%w: %v consumes eliminated flags at %#x", ErrUnsupported, in.Op, in.Addr)
+	}
+	return nil
 }
 
 // writeKnown updates a register with a known value at the given width,

@@ -2,7 +2,6 @@ package dbrew
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/emu"
 	"repro/internal/x86"
@@ -13,27 +12,15 @@ import (
 // emitted with known operands replaced by immediates / materialized
 // constants.
 func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
+	if a, b, out, ok := emu.IntOperands(in); ok {
+		return e.execInt(st, in, a, b, out)
+	}
 	switch in.Op {
 	case x86.NOP, x86.ENDBR64:
 		return nil
 
 	case x86.MOV:
 		return e.execMov(st, in)
-
-	case x86.MOVZX, x86.MOVSX, x86.MOVSXD:
-		if v, ok := e.operandKnown(st, in, in.Src); ok && in.Dst.Kind == x86.KReg {
-			var res uint64
-			if in.Op == x86.MOVZX {
-				res = truncVal(v, in.Src.Size)
-			} else {
-				res = uint64(signExtVal(v, in.Src.Size))
-			}
-			if st.writeKnown(in.Dst.Reg, in.Dst.Size, truncVal(res, in.Dst.Size)) {
-				e.rw.Stats.Eliminated++
-				return nil
-			}
-		}
-		return e.emitAdjusted(st, in, 0)
 
 	case x86.LEA:
 		if addr, ok := e.addrKnown(st, in, in.Src.Mem); ok && in.Src.Mem.Seg == x86.SegNone {
@@ -42,157 +29,12 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 				return nil
 			}
 		}
-		return e.emitAdjusted(st, in, 0)
-
-	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.CMP, x86.TEST:
-		return e.execALU(st, in)
-	case x86.ADC, x86.SBB:
-		// Evaluate only with a known carry; otherwise emit.
-		if st.flags.known&fCF != 0 {
-			av, aok := e.operandKnown(st, in, in.Dst)
-			bv, bok := e.operandKnown(st, in, in.Src)
-			if aok && bok {
-				c := uint64(0)
-				if st.flags.f.CF {
-					c = 1
-				}
-				size := in.Dst.Size
-				var res uint64
-				if in.Op == x86.ADC {
-					res = av + bv + c
-					st.setFlagsKnown(emu.FlagsOfAdd(av, bv+c, size))
-				} else {
-					res = av - bv - c
-					st.setFlagsKnown(emu.FlagsOfSub(av, bv+c, size))
-				}
-				if in.Dst.Kind == x86.KReg && st.writeKnown(in.Dst.Reg, size, truncVal(res, size)) {
-					e.rw.Stats.Eliminated++
-					return nil
-				}
-			}
-		}
-		if st.flags.valid&fCF == 0 && st.flags.known&fCF == 0 {
-			return fmt.Errorf("%w: adc/sbb consumes eliminated carry at %#x", ErrUnsupported, in.Addr)
-		}
-		if st.flags.known&fCF != 0 && st.flags.valid&fCF == 0 {
-			// The carry is known abstractly but the producing compare was
-			// eliminated: materialize it with stc/clc before the emitted
-			// adc/sbb consumes the hardware flag.
-			if st.flags.f.CF {
-				e.emit(x86.Inst{Op: x86.STC})
-			} else {
-				e.emit(x86.Inst{Op: x86.CLC})
-			}
-			st.flags.valid |= fCF
-		}
-		return e.emitAdjusted(st, in, fAll)
-
-	case x86.NOT:
-		if in.Dst.Kind == x86.KReg {
-			if v, ok := st.regKnown(in.Dst.Reg, in.Dst.Size); ok {
-				if st.writeKnown(in.Dst.Reg, in.Dst.Size, truncVal(^v, in.Dst.Size)) {
-					e.rw.Stats.Eliminated++
-					return nil
-				}
-			}
-		}
-		return e.emitAdjusted(st, in, 0)
-	case x86.POPCNT:
-		if in.Dst.Kind == x86.KReg {
-			if v, ok := e.operandKnown(st, in, in.Src); ok {
-				// popcnt clears OF/SF/CF/AF/PF and sets ZF on zero input.
-				st.setFlagsKnown(emu.Flags{ZF: truncVal(v, in.Src.Size) == 0})
-				res := uint64(bits.OnesCount64(truncVal(v, in.Src.Size)))
-				if st.writeKnown(in.Dst.Reg, in.Dst.Size, res) {
-					e.rw.Stats.Eliminated++
-					return nil
-				}
-			}
-		}
-		return e.emitAdjusted(st, in, fAll)
-
-	case x86.NEG:
-		if in.Dst.Kind == x86.KReg {
-			if v, ok := st.regKnown(in.Dst.Reg, in.Dst.Size); ok {
-				f := emu.FlagsOfSub(0, v, in.Dst.Size)
-				f.CF = truncVal(v, in.Dst.Size) != 0
-				st.setFlagsKnown(f)
-				if st.writeKnown(in.Dst.Reg, in.Dst.Size, truncVal(-v, in.Dst.Size)) {
-					e.rw.Stats.Eliminated++
-					return nil
-				}
-			}
-		}
-		return e.emitAdjusted(st, in, fAll)
-
-	case x86.INC, x86.DEC:
-		if in.Dst.Kind == x86.KReg {
-			if v, ok := st.regKnown(in.Dst.Reg, in.Dst.Size); ok {
-				var res uint64
-				var f emu.Flags
-				if in.Op == x86.INC {
-					res = v + 1
-					f = emu.FlagsOfAdd(v, 1, in.Dst.Size)
-				} else {
-					res = v - 1
-					f = emu.FlagsOfSub(v, 1, in.Dst.Size)
-				}
-				if st.writeKnown(in.Dst.Reg, in.Dst.Size, truncVal(res, in.Dst.Size)) {
-					// CF is preserved: keep its previous state.
-					cfKnown := st.flags.known&fCF != 0
-					cfValid := st.flags.valid&fCF != 0
-					cfVal := st.flags.f.CF
-					st.setFlagsKnown(f)
-					st.flags.known = (fAll &^ fCF)
-					if cfKnown {
-						st.flags.known |= fCF
-						st.flags.f.CF = cfVal
-					}
-					if cfValid {
-						st.flags.valid = fCF
-					}
-					e.rw.Stats.Eliminated++
-					return nil
-				}
-			}
-		}
-		return e.emitAdjusted(st, in, fAll&^fCF)
-
-	case x86.IMUL, x86.IMUL3:
-		return e.execIMul(st, in)
-
-	case x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
-		return e.execShift(st, in)
-
-	case x86.CQO:
-		if v, ok := st.regKnown(x86.RAX, 8); ok {
-			if st.writeKnown(x86.RDX, 8, uint64(int64(v)>>63)) {
-				e.rw.Stats.Eliminated++
-				return nil
-			}
-		}
-		return e.emitAdjusted(st, in, 0)
-	case x86.CDQ:
-		if v, ok := st.regKnown(x86.RAX, 4); ok {
-			if st.writeKnown(x86.RDX, 4, uint64(uint32(int32(v)>>31))) {
-				e.rw.Stats.Eliminated++
-				return nil
-			}
-		}
-		return e.emitAdjusted(st, in, 0)
-	case x86.CDQE:
-		if v, ok := st.regKnown(x86.RAX, 4); ok {
-			if st.writeKnown(x86.RAX, 8, uint64(int64(int32(v)))) {
-				e.rw.Stats.Eliminated++
-				return nil
-			}
-		}
-		return e.emitAdjusted(st, in, 0)
+		return e.emitAdjusted(st, in)
 
 	case x86.MUL, x86.IDIV, x86.DIV:
 		// Emit with operands materialized; RAX/RDX become dynamic and the
 		// flags are architecturally undefined afterwards (poisoned).
-		if err := e.emitAdjusted(st, in, 0); err != nil {
+		if err := e.emitAdjusted(st, in); err != nil {
 			return err
 		}
 		st.setDynamic(x86.RAX)
@@ -211,16 +53,15 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 				return nil
 			}
 		}
-		return e.emitAdjusted(st, in, 0)
+		return e.emitAdjusted(st, in)
 
 	case x86.CMOVCC:
 		return e.execCMov(st, in)
 
 	case x86.SETCC:
-		need := flagsNeeded(in.Cond)
-		if st.flags.known&need == need {
+		if need := in.Cond.Reads(); st.flags.known&need == need {
 			v := uint64(0)
-			if emu.CondHoldsIn(st.flags.f, in.Cond) {
+			if emu.CondHoldsIn(emu.FlagState(st.flags.f), in.Cond) {
 				v = 1
 			}
 			if in.Dst.Kind == x86.KReg {
@@ -240,10 +81,7 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 			e.emit(x86.Inst{Op: x86.MOV, Dst: adj, Src: x86.Imm(int64(v), 1)})
 			return nil
 		}
-		if st.flags.valid&need != need {
-			return fmt.Errorf("%w: setcc consumes eliminated flags at %#x", ErrUnsupported, in.Addr)
-		}
-		return e.emitAdjusted(st, in, 0)
+		return e.emitAdjusted(st, in)
 
 	case x86.MOVSB, x86.STOSB, x86.REPMOVSB, x86.REPSTOSB:
 		// String ops read RSI/RDI (plus RCX for rep, AL for stos)
@@ -285,7 +123,7 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 				return nil
 			}
 		}
-		return e.emitAdjusted(st, in, 0)
+		return e.emitAdjusted(st, in)
 	case x86.POP:
 		var restored *regVal
 		if st.vstackOK && len(st.vstack) > 0 {
@@ -293,7 +131,7 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 			st.vstack = st.vstack[:len(st.vstack)-1]
 			restored = &rv
 		}
-		if err := e.emitAdjusted(st, in, 0); err != nil {
+		if err := e.emitAdjusted(st, in); err != nil {
 			return err
 		}
 		if restored != nil && restored.known && in.Dst.Kind == x86.KReg && in.Dst.Reg.IsGP() {
@@ -306,12 +144,7 @@ func (e *emitterState) exec(st *mstate, in *x86.Inst) error {
 	// Everything else — the SSE subset and rarities — is emitted with
 	// address folding and known-register materialization. DBrew performs no
 	// floating-point specialization (Figure 8's visible overhead).
-	return e.emitAdjusted(st, in, sseFlagWriters[in.Op])
-}
-
-var sseFlagWriters = map[x86.Op]uint8{
-	x86.COMISD: fAll, x86.UCOMISD: fAll, x86.COMISS: fAll, x86.UCOMISS: fAll,
-	x86.POPCNT: fAll,
+	return e.emitAdjusted(st, in)
 }
 
 func (e *emitterState) execMov(st *mstate, in *x86.Inst) error {
@@ -334,157 +167,61 @@ func (e *emitterState) execMov(st *mstate, in *x86.Inst) error {
 			return nil
 		}
 	}
-	return e.emitAdjusted(st, in, 0)
+	return e.emitAdjusted(st, in)
 }
 
-func (e *emitterState) execALU(st *mstate, in *x86.Inst) error {
-	av, aok := e.operandKnown(st, in, in.Dst)
-	bv, bok := e.operandKnown(st, in, in.Src)
-	size := in.Dst.Size
+// execInt evaluates an instruction of the integer kernel away when all its
+// inputs, flags included, are known ("instructions simply disappear if all
+// input parameters are known"), and emits it otherwise.
+func (e *emitterState) execInt(st *mstate, in *x86.Inst, a, b, out x86.Operand) error {
+	av, ok := e.operandKnown(st, in, a)
+	bv, bok := uint64(0), true
+	if b.Kind != x86.KNone {
+		bv, bok = e.operandKnown(st, in, b)
+	}
 	// xor r, r and sub r, r are the canonical zero idioms: the result is
 	// known regardless of the register's current contents.
 	if (in.Op == x86.XOR || in.Op == x86.SUB) &&
 		in.Dst.Kind == x86.KReg && in.Src.Kind == x86.KReg && in.Dst.Reg == in.Src.Reg {
-		av, aok, bv, bok = 0, true, 0, true
+		av, ok, bv, bok = 0, true, 0, true
 	}
-	if aok && bok {
-		var res uint64
-		var f emu.Flags
-		switch in.Op {
-		case x86.ADD:
-			res = av + bv
-			f = emu.FlagsOfAdd(av, bv, size)
-		case x86.SUB, x86.CMP:
-			res = av - bv
-			f = emu.FlagsOfSub(av, bv, size)
-		case x86.AND, x86.TEST:
-			res = av & bv
-			f = emu.FlagsOfLogic(res, size)
-		case x86.OR:
-			res = av | bv
-			f = emu.FlagsOfLogic(res, size)
-		case x86.XOR:
-			res = av ^ bv
-			f = emu.FlagsOfLogic(res, size)
+	if ok && bok {
+		// A shift by CL has the flag effects of its count, now known.
+		fx := *in
+		if b.Kind == x86.KReg {
+			fx.Src = x86.Imm(int64(bv), b.Size)
 		}
-		st.setFlagsKnown(f)
-		if in.Op == x86.CMP || in.Op == x86.TEST {
-			e.rw.Stats.Eliminated++
-			return nil
-		}
-		if in.Dst.Kind == x86.KReg && st.writeKnown(in.Dst.Reg, size, truncVal(res, size)) {
-			e.rw.Stats.Eliminated++
-			return nil
-		}
-		if in.Dst.Kind == x86.KMem {
-			sv := signExtVal(res, size)
-			if size < 8 || (sv >= -(1<<31) && sv < 1<<31) {
-				adj, err := e.adjustMem(st, in, in.Dst)
+		if read, _ := fx.FlagEffects(); read&^st.flags.known == 0 {
+			res, f, defined, write := emu.Int(in, av, bv, emu.FlagState(st.flags.f))
+			switch {
+			case !write, out.Kind == x86.KReg && st.writeKnown(out.Reg, out.Size, res):
+				e.rw.Stats.Eliminated++
+			case out.Kind == x86.KMem && fitsImm32(res, out.Size):
+				// A known result stored to memory: the emitted mov leaves
+				// the flags alone, so they stay known.
+				adj, err := e.adjustMem(st, in, out)
 				if err != nil {
 					return err
 				}
-				e.emit(x86.Inst{Op: x86.MOV, Dst: adj, Src: x86.Imm(int64(truncVal(res, size)), size)})
-				// The emitted mov does not set flags; they stay known.
-				return nil
+				e.emit(x86.Inst{Op: x86.MOV, Dst: adj, Src: x86.Imm(int64(truncVal(res, out.Size)), out.Size)})
+			default:
+				return e.emitAdjusted(st, in)
 			}
-		}
-	}
-	return e.emitAdjusted(st, in, fAll)
-}
-
-func (e *emitterState) execIMul(st *mstate, in *x86.Inst) error {
-	var a, b uint64
-	var aok, bok bool
-	if in.Op == x86.IMUL {
-		a, aok = e.operandKnown(st, in, in.Dst)
-		b, bok = e.operandKnown(st, in, in.Src)
-	} else {
-		a, aok = e.operandKnown(st, in, in.Src)
-		b, bok = uint64(in.Src2.Imm), true
-	}
-	if aok && bok && in.Dst.Kind == x86.KReg {
-		full := signExtVal(a, in.Dst.Size) * signExtVal(b, in.Dst.Size)
-		if st.writeKnown(in.Dst.Reg, in.Dst.Size, truncVal(uint64(full), in.Dst.Size)) {
-			// CF/OF are defined (overflow of the truncated product); the
-			// other flags are architecturally undefined -> poisoned.
-			overflow := signExtVal(uint64(full), in.Dst.Size) != full
-			st.flags = flagsVal{known: fCF | fOF}
-			st.flags.f.CF = overflow
-			st.flags.f.OF = overflow
-			e.rw.Stats.Eliminated++
+			st.flags.fold(f, defined, flagWrites(&fx))
 			return nil
 		}
 	}
-	return e.emitAdjusted(st, in, fAll)
-}
-
-func (e *emitterState) execShift(st *mstate, in *x86.Inst) error {
-	var cnt uint64
-	var cok bool
-	if in.Src.Kind == x86.KImm {
-		cnt, cok = uint64(in.Src.Imm), true
-	} else {
-		cnt, cok = st.regKnown(x86.RCX, 1)
+	if in.Dst.Kind == x86.KNone {
+		// CQO, CDQ and CDQE read and write RAX and RDX implicitly.
+		e.materialize(st, a.Reg)
+		defer st.setDynamic(out.Reg)
 	}
-	if v, ok := e.operandKnown(st, in, in.Dst); ok && cok && in.Dst.Kind == x86.KReg {
-		size := in.Dst.Size
-		width := uint64(size) * 8
-		if width == 64 {
-			cnt &= 63
-		} else {
-			cnt &= 31
-		}
-		if cnt == 0 {
-			e.rw.Stats.Eliminated++
-			return nil // value and flags unchanged
-		}
-		v = truncVal(v, size)
-		var res uint64
-		var cf bool
-		switch in.Op {
-		case x86.SHL:
-			res = v << cnt
-			cf = v>>(width-cnt)&1 != 0
-		case x86.SHR:
-			res = v >> cnt
-			cf = v>>(cnt-1)&1 != 0
-		case x86.SAR:
-			res = uint64(signExtVal(v, size) >> cnt)
-			cf = v>>(cnt-1)&1 != 0
-		case x86.ROL:
-			c := cnt % width
-			res = v<<c | v>>(width-c)
-		case x86.ROR:
-			c := cnt % width
-			res = v>>c | v<<(width-c)
-		}
-		if st.writeKnown(in.Dst.Reg, size, truncVal(res, size)) {
-			if in.Op == x86.ROL || in.Op == x86.ROR {
-				st.flags.known &^= fCF | fOF
-				st.flags.valid &^= fCF | fOF
-			} else {
-				res = truncVal(res, size)
-				st.flags = flagsVal{known: fZF | fSF | fPF | fCF}
-				st.flags.f.ZF = res == 0
-				st.flags.f.SF = res>>(width-1)&1 != 0
-				st.flags.f.PF = bits.OnesCount8(uint8(res))%2 == 0
-				st.flags.f.CF = cf
-			}
-			e.rw.Stats.Eliminated++
-			return nil
-		}
-	}
-	mask := uint8(fAll)
-	if in.Op == x86.ROL || in.Op == x86.ROR {
-		mask = fCF | fOF
-	}
-	return e.emitAdjusted(st, in, mask)
+	return e.emitAdjusted(st, in)
 }
 
 func (e *emitterState) execCMov(st *mstate, in *x86.Inst) error {
-	need := flagsNeeded(in.Cond)
-	if st.flags.known&need == need {
-		taken := emu.CondHoldsIn(st.flags.f, in.Cond)
+	if need := in.Cond.Reads(); st.flags.known&need == need {
+		taken := emu.CondHoldsIn(emu.FlagState(st.flags.f), in.Cond)
 		if !taken {
 			// A 32-bit cmov still zeroes the upper half.
 			if in.Dst.Size == 4 {
@@ -504,10 +241,7 @@ func (e *emitterState) execCMov(st *mstate, in *x86.Inst) error {
 		mv := x86.Inst{Op: x86.MOV, Dst: in.Dst, Src: in.Src, Addr: in.Addr, Len: in.Len}
 		return e.execMov(st, &mv)
 	}
-	if st.flags.valid&need != need {
-		return fmt.Errorf("%w: cmov consumes eliminated flags at %#x", ErrUnsupported, in.Addr)
-	}
-	return e.emitAdjusted(st, in, 0)
+	return e.emitAdjusted(st, in)
 }
 
 // adjustMem rewrites a memory operand: a fully known address becomes
@@ -549,10 +283,21 @@ func (e *emitterState) adjustMem(st *mstate, in *x86.Inst, op x86.Operand) (x86.
 
 // emitAdjusted emits the instruction with immediate substitution for known
 // source registers, materialization where substitution is impossible, and
-// memory operand folding. flagMask names the flags the instruction writes
-// (they become runtime-valid).
-func (e *emitterState) emitAdjusted(st *mstate, in *x86.Inst, flagMask uint8) error {
+// memory operand folding. The flags it reads must be valid (useFlags); the
+// flags it writes become valid and unknown.
+func (e *emitterState) emitAdjusted(st *mstate, in *x86.Inst) error {
 	out := *in
+	// A known source register becomes an immediate where the instruction
+	// takes one. The flags are those of this form: a shift whose count
+	// became an immediate reads none and writes the count's.
+	if out.Src.Kind == x86.KReg && out.Src.Reg.IsGP() && immSubstitutable(out.Op) {
+		if v, ok := st.regKnown(out.Src.Reg, out.Src.Size); ok && fitsImm32(v, out.Src.Size) {
+			out.Src = x86.Imm(signExtVal(v, out.Src.Size), out.Src.Size)
+		}
+	}
+	if err := e.useFlags(st, &out); err != nil {
+		return err
+	}
 
 	// Adjust memory operands.
 	var err error
@@ -569,14 +314,10 @@ func (e *emitterState) emitAdjusted(st *mstate, in *x86.Inst, flagMask uint8) er
 		}
 	}
 
-	// Substitute or materialize a known source register.
+	// Materialize a known source register left in place.
 	if out.Src.Kind == x86.KReg && out.Src.Reg.IsGP() {
-		if v, ok := st.regKnown(out.Src.Reg, out.Src.Size); ok {
-			if immSubstitutable(out.Op) && fitsImm32(v, out.Src.Size) {
-				out.Src = x86.Imm(signExtVal(v, out.Src.Size), out.Src.Size)
-			} else {
-				e.materialize(st, out.Src.Reg)
-			}
+		if _, ok := st.regKnown(out.Src.Reg, out.Src.Size); ok {
+			e.materialize(st, out.Src.Reg)
 		}
 	}
 	if out.Src.Kind == x86.KReg && out.Src.Reg.IsHighByte() {
@@ -617,11 +358,23 @@ func (e *emitterState) emitAdjusted(st *mstate, in *x86.Inst, flagMask uint8) er
 			st.setDynamic(out.Dst.Reg)
 		}
 	}
-	if flagMask != 0 {
-		st.flags.known &^= flagMask
-		st.flags.valid |= flagMask
-	}
+	written := flagWrites(&out)
+	st.flags.known &^= written
+	st.flags.valid |= written
 	return nil
+}
+
+// flagWrites returns the flags the instruction writes. That is its flag
+// table entry, except that a shift by a count other than 0 writes all six:
+// x86 leaves AF undefined after it, and OF after a count above 1. The
+// emulator keeps both, which the table records, but a specialization must
+// not carry a value across a flag the hardware may change.
+func flagWrites(in *x86.Inst) x86.FlagSet {
+	_, written := in.FlagEffects()
+	if written != 0 && (in.Op == x86.SHL || in.Op == x86.SHR || in.Op == x86.SAR) {
+		return x86.AllFlags
+	}
+	return written
 }
 
 // immSubstitutable reports whether the instruction's source operand can be
@@ -629,7 +382,7 @@ func (e *emitterState) emitAdjusted(st *mstate, in *x86.Inst, flagMask uint8) er
 func immSubstitutable(op x86.Op) bool {
 	switch op {
 	case x86.ADD, x86.ADC, x86.SUB, x86.SBB, x86.AND, x86.OR, x86.XOR,
-		x86.CMP, x86.TEST, x86.MOV:
+		x86.CMP, x86.TEST, x86.MOV, x86.SHL, x86.SHR, x86.SAR, x86.ROL, x86.ROR:
 		return true
 	}
 	return false

@@ -11,6 +11,7 @@
 package dbrew
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 
 	"repro/internal/emu"
@@ -31,11 +32,21 @@ type regVal struct {
 // flagsVal models the six status flags with per-flag precision: a flag is
 // known (its value is in f), valid (the runtime flags register holds the
 // architecturally correct value), or poisoned (neither — its defining
-// instruction was eliminated).
+// instruction was eliminated). Consuming a poisoned flag aborts rewriting —
+// the default handler then returns the original code.
 type flagsVal struct {
-	known uint8 // mask of flags with known values
-	valid uint8 // mask of flags valid in the runtime flags register
-	f     emu.Flags
+	known x86.FlagSet // flags with known values
+	valid x86.FlagSet // flags valid in the runtime flags register
+	f     x86.FlagSet // values of the known flags; other bits are stale
+}
+
+// fold records the flags after an instruction evaluated away: the flags it
+// defined are known with out's values, the others it writes are poisoned,
+// and the rest keep their state.
+func (fl *flagsVal) fold(out emu.Flags, defined, written x86.FlagSet) {
+	fl.known = fl.known&^written | defined
+	fl.valid &^= written
+	fl.f = fl.f&^written | out.Set()&defined
 }
 
 // Range is a half-open memory interval whose contents are fixed.
@@ -64,7 +75,7 @@ type mstate struct {
 
 func newMState() *mstate {
 	s := &mstate{}
-	s.flags.valid = fAll // runtime flags are live (unknown) on entry
+	s.flags.valid = x86.AllFlags // runtime flags are live (unknown) on entry
 	s.vstackOK = true
 	return s
 }
@@ -93,7 +104,7 @@ func (s *mstate) setDynamic(r x86.Reg) {
 }
 
 // killFlags makes the flag state fully dynamic (runtime-valid but unknown).
-func (s *mstate) killFlags() { s.flags = flagsVal{valid: fAll} }
+func (s *mstate) killFlags() { s.flags = flagsVal{valid: x86.AllFlags} }
 
 // hash produces a key identifying the abstract state, used to detect when a
 // code path re-enters an already-emitted (address, state) pair — this both
@@ -102,9 +113,7 @@ func (s *mstate) hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	for i, r := range s.gpr {
@@ -116,13 +125,7 @@ func (s *mstate) hash() uint64 {
 			}
 		}
 	}
-	bits := uint64(s.flags.known)<<8 | uint64(s.flags.valid)
-	f := s.flags.f
-	for i, v := range []bool{f.CF, f.PF, f.AF, f.ZF, f.SF, f.OF} {
-		if v {
-			bits |= 1 << uint(16+i)
-		}
-	}
+	bits := uint64(s.flags.f)<<16 | uint64(s.flags.known)<<8 | uint64(s.flags.valid)
 	put(0xF1A6<<32 | bits)
 	for _, ra := range s.retStack {
 		put(ra)

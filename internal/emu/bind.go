@@ -15,11 +15,15 @@ var (
 
 // bindExec returns the pre-bound executor for one decoded instruction.
 // Specialized bindings resolve operand kinds, widths, register facets, and
-// condition codes at translate time; every remaining op falls back to a
-// closure over the interpreter's exec, so semantics can never diverge —
-// ADC's carry-chain quirk, the rotate family, MUL/DIV, and the exotic SSE
-// shuffles all run the exact interpreter code path.
+// condition codes at translate time. Integer arithmetic and its flags come
+// from the integer kernel (alu.go), the same definition the interpreter and
+// DBrew's constant folder use; every remaining op falls back to a closure
+// over the interpreter's exec (MUL/DIV and the exotic SSE shuffles among
+// them), so the interpreter and the block engine cannot diverge.
 func bindExec(in *x86.Inst) execFn {
+	if fn, a, b, out := intOp(in); fn != nil {
+		return bindInt(in, fn, a, b, out)
+	}
 	switch in.Op {
 	case x86.NOP, x86.ENDBR64:
 		return func(*Machine) error { return nil }
@@ -48,24 +52,6 @@ func bindExec(in *x86.Inst) execFn {
 			}
 			return w(m, v)
 		}
-	case x86.MOVZX:
-		r, w, sz := bindRead(in, in.Src), bindWrite(in, in.Dst), in.Src.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			return w(m, trunc(v, sz))
-		}
-	case x86.MOVSX, x86.MOVSXD:
-		r, w, sz := bindRead(in, in.Src), bindWrite(in, in.Dst), in.Src.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			return w(m, uint64(signExtend(v, sz)))
-		}
 	case x86.LEA:
 		ea := bindEA(in, in.Src)
 		if in.Dst.Kind == x86.KReg && in.Dst.Size == 8 && !in.Dst.Reg.IsHighByte() {
@@ -74,121 +60,6 @@ func bindExec(in *x86.Inst) execFn {
 		}
 		w, sz := bindWrite(in, in.Dst), in.Dst.Size
 		return func(m *Machine) error { return w(m, trunc(ea(m), sz)) }
-
-	case x86.ADD:
-		return bindBinALU(in, aluAdd)
-	case x86.SUB:
-		return bindBinALU(in, aluSub)
-	case x86.CMP:
-		return bindBinALU(in, aluCmp)
-	case x86.AND:
-		return bindBinALU(in, aluAnd)
-	case x86.OR:
-		return bindBinALU(in, aluOr)
-	case x86.XOR:
-		return bindBinALU(in, aluXor)
-	case x86.TEST:
-		return bindBinALU(in, aluTest)
-
-	case x86.NOT:
-		r, w, sz := bindRead(in, in.Dst), bindWrite(in, in.Dst), in.Dst.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			return w(m, trunc(^v, sz))
-		}
-	case x86.NEG:
-		r, w, sz := bindRead(in, in.Dst), bindWrite(in, in.Dst), in.Dst.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			res := -v
-			m.Flags = FlagsOfSub(0, v, sz)
-			m.Flags.CF = trunc(v, sz) != 0
-			return w(m, trunc(res, sz))
-		}
-	case x86.INC:
-		r, w, sz := bindRead(in, in.Dst), bindWrite(in, in.Dst), in.Dst.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			cf := m.Flags.CF
-			res := v + 1
-			m.Flags = FlagsOfAdd(v, 1, sz)
-			m.Flags.CF = cf // INC preserves CF
-			return w(m, trunc(res, sz))
-		}
-	case x86.DEC:
-		r, w, sz := bindRead(in, in.Dst), bindWrite(in, in.Dst), in.Dst.Size
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			cf := m.Flags.CF
-			res := v - 1
-			m.Flags = FlagsOfSub(v, 1, sz)
-			m.Flags.CF = cf // DEC preserves CF
-			return w(m, trunc(res, sz))
-		}
-
-	case x86.IMUL:
-		ra, rb := bindRead(in, in.Dst), bindRead(in, in.Src)
-		w, dsz, ssz := bindWrite(in, in.Dst), in.Dst.Size, in.Src.Size
-		return func(m *Machine) error {
-			av, err := ra(m)
-			if err != nil {
-				return err
-			}
-			bv, err := rb(m)
-			if err != nil {
-				return err
-			}
-			full := signExtend(av, dsz) * signExtend(bv, ssz)
-			m.Flags.CF = signExtend(uint64(full), dsz) != full
-			m.Flags.OF = m.Flags.CF
-			m.setResultFlags(uint64(full), dsz)
-			return w(m, trunc(uint64(full), dsz))
-		}
-	case x86.IMUL3:
-		r := bindRead(in, in.Src)
-		w, dsz, ssz, imm := bindWrite(in, in.Dst), in.Dst.Size, in.Src.Size, in.Src2.Imm
-		return func(m *Machine) error {
-			av, err := r(m)
-			if err != nil {
-				return err
-			}
-			full := signExtend(av, ssz) * imm
-			m.Flags.CF = signExtend(uint64(full), dsz) != full
-			m.Flags.OF = m.Flags.CF
-			m.setResultFlags(uint64(full), dsz)
-			return w(m, trunc(uint64(full), dsz))
-		}
-
-	case x86.CQO:
-		return func(m *Machine) error {
-			m.GPR[x86.RDX] = uint64(int64(m.GPR[x86.RAX]) >> 63)
-			return nil
-		}
-	case x86.CDQ:
-		return func(m *Machine) error {
-			m.gpWrite(x86.RDX, 4, uint64(uint32(int32(m.GPR[x86.RAX])>>31)))
-			return nil
-		}
-	case x86.CDQE:
-		return func(m *Machine) error {
-			m.GPR[x86.RAX] = uint64(int64(int32(m.GPR[x86.RAX])))
-			return nil
-		}
-
-	case x86.SHL, x86.SHR, x86.SAR:
-		return bindShift(in)
 
 	case x86.PUSH:
 		r := bindRead(in, in.Dst)
@@ -407,269 +278,59 @@ func bindExec(in *x86.Inst) execFn {
 		}
 	}
 
-	// Everything else (ADC/SBB, MUL/DIV/IDIV, rotates, XCHG, POPCNT,
-	// shuffles/unpacks, conversions, ...) executes through the interpreter.
+	// Everything else (MUL/DIV/IDIV, XCHG, shuffles/unpacks, conversions,
+	// ...) executes through the interpreter.
 	return func(m *Machine) error { return m.exec(in) }
 }
 
-// bindALUFast fully specializes the dominant ALU shape — 64-bit register
-// destination with a register or immediate source — into closures with no
-// indirect operand reads. Flag computation goes through the same FlagsOf*
-// helpers as the interpreter, so results are identical. Returns nil when the
-// shape doesn't fit (memory operands, narrow widths, high-byte registers).
-func bindALUFast(in *x86.Inst, kind aluKind) execFn {
-	if in.Dst.Kind != x86.KReg || in.Dst.Size != 8 || in.Dst.Reg.IsHighByte() {
-		return nil
-	}
-	d := in.Dst.Reg
-	var src func(*Machine) uint64
-	switch {
-	case in.Src.Kind == x86.KReg && in.Src.Size == 8 && !in.Src.Reg.IsHighByte():
-		s := in.Src.Reg
-		src = func(m *Machine) uint64 { return m.GPR[s] }
-	case in.Src.Kind == x86.KImm:
-		c := uint64(in.Src.Imm)
-		src = func(*Machine) uint64 { return c }
-	default:
-		return nil
-	}
-	switch kind {
-	case aluAdd:
-		return func(m *Machine) error {
-			a, b := m.GPR[d], src(m)
-			m.Flags = FlagsOfAdd(a, b, 8)
-			m.GPR[d] = a + b
-			return nil
-		}
-	case aluSub:
-		return func(m *Machine) error {
-			a, b := m.GPR[d], src(m)
-			m.Flags = FlagsOfSub(a, b, 8)
-			m.GPR[d] = a - b
-			return nil
-		}
-	case aluCmp:
-		return func(m *Machine) error {
-			m.Flags = FlagsOfSub(m.GPR[d], src(m), 8)
-			return nil
-		}
-	case aluAnd:
-		return func(m *Machine) error {
-			res := m.GPR[d] & src(m)
-			m.Flags = FlagsOfLogic(res, 8)
-			m.GPR[d] = res
-			return nil
-		}
-	case aluOr:
-		return func(m *Machine) error {
-			res := m.GPR[d] | src(m)
-			m.Flags = FlagsOfLogic(res, 8)
-			m.GPR[d] = res
-			return nil
-		}
-	case aluXor:
-		return func(m *Machine) error {
-			res := m.GPR[d] ^ src(m)
-			m.Flags = FlagsOfLogic(res, 8)
-			m.GPR[d] = res
-			return nil
-		}
-	default: // aluTest
-		return func(m *Machine) error {
-			m.Flags = FlagsOfLogic(m.GPR[d]&src(m), 8)
-			return nil
+// bindInt binds an instruction of the integer kernel: operand reads and the
+// write-back are resolved at translate time, and the opcode's kernel
+// function, chosen once here, computes the result and the flags. The
+// dominant shape, a 64-bit register updated in place from a register, an
+// immediate or nothing, reads and writes the register file directly.
+func bindInt(in *x86.Inst, fn intFn, a, b, out *x86.Operand) execFn {
+	if a.Kind == x86.KReg && a.Size == 8 && out.Kind == x86.KReg && out.Reg == a.Reg {
+		d := a.Reg
+		switch {
+		case b == nil || b.Kind == x86.KImm:
+			var c uint64
+			if b != nil {
+				c = uint64(b.Imm)
+			}
+			return func(m *Machine) error {
+				if res, _, write := fn(m.GPR[d], c, 8, &m.Flags); write {
+					m.GPR[d] = res
+				}
+				return nil
+			}
+		case b.Kind == x86.KReg && b.Size == 8:
+			s := b.Reg
+			return func(m *Machine) error {
+				if res, _, write := fn(m.GPR[d], m.GPR[s], 8, &m.Flags); write {
+					m.GPR[d] = res
+				}
+				return nil
+			}
 		}
 	}
-}
-
-// aluKind selects the operation of a bound two-operand ALU instruction.
-type aluKind uint8
-
-const (
-	aluAdd aluKind = iota
-	aluSub
-	aluCmp
-	aluAnd
-	aluOr
-	aluXor
-	aluTest
-)
-
-// bindBinALU binds ADD/SUB/CMP/AND/OR/XOR/TEST: read dst, read src, set
-// flags, write back (except CMP/TEST). Flag computation and operand order
-// mirror the interpreter exactly.
-func bindBinALU(in *x86.Inst, kind aluKind) execFn {
-	if fn := bindALUFast(in, kind); fn != nil {
-		return fn
+	ra, w, sz := bindRead(in, *a), bindWrite(in, *out), a.Size
+	rb := func(*Machine) (uint64, error) { return 0, nil }
+	if b != nil {
+		rb = bindRead(in, *b)
 	}
-	ra, rb := bindRead(in, in.Dst), bindRead(in, in.Src)
-	sz := in.Dst.Size
-	switch kind {
-	case aluAdd:
-		w := bindWrite(in, in.Dst)
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			res := a + b
-			m.Flags = FlagsOfAdd(a, b, sz)
-			return w(m, trunc(res, sz))
-		}
-	case aluSub:
-		w := bindWrite(in, in.Dst)
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			res := a - b
-			m.Flags = FlagsOfSub(a, b, sz)
-			return w(m, trunc(res, sz))
-		}
-	case aluCmp:
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			m.Flags = FlagsOfSub(a, b, sz)
-			return nil
-		}
-	case aluAnd:
-		w := bindWrite(in, in.Dst)
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			res := a & b
-			m.Flags = FlagsOfLogic(res, sz)
-			return w(m, trunc(res, sz))
-		}
-	case aluOr:
-		w := bindWrite(in, in.Dst)
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			res := a | b
-			m.Flags = FlagsOfLogic(res, sz)
-			return w(m, trunc(res, sz))
-		}
-	case aluXor:
-		w := bindWrite(in, in.Dst)
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			res := a ^ b
-			m.Flags = FlagsOfLogic(res, sz)
-			return w(m, trunc(res, sz))
-		}
-	default: // aluTest
-		return func(m *Machine) error {
-			a, err := ra(m)
-			if err != nil {
-				return err
-			}
-			b, err := rb(m)
-			if err != nil {
-				return err
-			}
-			m.Flags = FlagsOfLogic(a&b, sz)
-			return nil
-		}
-	}
-}
-
-// bindShift binds SHL/SHR/SAR. An immediate count is masked at translate
-// time: count zero becomes a no-op (flags untouched, no write-back, exactly
-// like the interpreter), and the common count==1/count>1 split disappears
-// into the closure.
-func bindShift(in *x86.Inst) execFn {
-	op, sz := in.Op, in.Dst.Size
-	width := uint64(sz) * 8
-	mask := uint64(31)
-	if width == 64 {
-		mask = 63
-	}
-	r, w := bindRead(in, in.Dst), bindWrite(in, in.Dst)
-	shiftOne := func(m *Machine, v, cnt uint64) error {
-		v = trunc(v, sz)
-		var res uint64
-		switch op {
-		case x86.SHL:
-			res = v << cnt
-			m.Flags.CF = cnt <= width && v>>(width-cnt)&1 != 0
-		case x86.SHR:
-			res = v >> cnt
-			m.Flags.CF = v>>(cnt-1)&1 != 0
-		case x86.SAR:
-			sv := signExtend(v, sz) // CF is the sign bit once cnt >= width
-			res = uint64(sv >> cnt)
-			m.Flags.CF = sv>>(cnt-1)&1 != 0
-		}
-		m.setResultFlags(res, sz)
-		if cnt == 1 {
-			m.Flags.OF = signBit(res, sz) != signBit(v, sz)
-		}
-		return w(m, trunc(res, sz))
-	}
-	if in.Src.Kind == x86.KImm {
-		cnt := uint64(in.Src.Imm) & mask
-		if cnt == 0 {
-			return func(*Machine) error { return nil } // flags unchanged
-		}
-		return func(m *Machine) error {
-			v, err := r(m)
-			if err != nil {
-				return err
-			}
-			return shiftOne(m, v, cnt)
-		}
-	}
-	rc := bindRead(in, in.Src)
 	return func(m *Machine) error {
-		v, err := r(m)
+		av, err := ra(m)
 		if err != nil {
 			return err
 		}
-		cnt, err := rc(m)
+		bv, err := rb(m)
 		if err != nil {
 			return err
 		}
-		cnt &= mask
-		if cnt == 0 {
-			return nil // flags unchanged
+		if res, _, write := fn(av, bv, sz, &m.Flags); write {
+			return w(m, res)
 		}
-		return shiftOne(m, v, cnt)
+		return nil
 	}
 }
 

@@ -206,8 +206,7 @@ func TestFlagsSubCmp(t *testing.T) {
 		{0x8000000000000000, 1, false, false, true}, // INT64_MIN - 1 overflows
 	}
 	for _, c := range cases {
-		res := c.a - c.b
-		m.setSubFlags(c.a, c.b, res, 8)
+		m.Flags = FlagsOfSub(c.a, c.b, 8)
 		if m.Flags.ZF != c.zf || m.Flags.SF != c.sf || m.Flags.OF != c.ovf {
 			t.Errorf("sub(%#x,%#x): ZF=%v SF=%v OF=%v, want %v %v %v",
 				c.a, c.b, m.Flags.ZF, m.Flags.SF, m.Flags.OF, c.zf, c.sf, c.ovf)
@@ -220,7 +219,7 @@ func TestFlagsSubCmp(t *testing.T) {
 func TestSignedComparisonProperty(t *testing.T) {
 	m := NewMachine(NewMemory(0x1000000))
 	f := func(a, b int64) bool {
-		m.setSubFlags(uint64(a), uint64(b), uint64(a)-uint64(b), 8)
+		m.Flags = FlagsOfSub(uint64(a), uint64(b), 8)
 		lt := m.Flags.SF != m.Flags.OF
 		return lt == (a < b)
 	}

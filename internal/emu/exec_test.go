@@ -371,4 +371,18 @@ func TestPopcnt(t *testing.T) {
 	if m.GPR[x86.RAX] != 8 {
 		t.Errorf("popcnt: %d", m.GPR[x86.RAX])
 	}
+	// popcnt clears OF, SF, AF, CF and PF and sets ZF for a zero source,
+	// whatever the count's parity: 7 counts 3, whose parity is even.
+	all := Flags{CF: true, PF: true, AF: true, ZF: true, SF: true, OF: true}
+	for _, c := range []struct {
+		src, count uint64
+		want       Flags
+	}{{7, 3, Flags{}}, {0, 0, Flags{ZF: true}}} {
+		m := run(t, func(m *Machine) { m.GPR[x86.RBX], m.Flags = c.src, all }, func(b *asm.Builder) {
+			b.I(x86.POPCNT, x86.R64(x86.RAX), x86.R64(x86.RBX))
+		})
+		if m.GPR[x86.RAX] != c.count || m.Flags != c.want {
+			t.Errorf("popcnt %d: %d with flags %+v, want %d with %+v", c.src, m.GPR[x86.RAX], m.Flags, c.count, c.want)
+		}
+	}
 }

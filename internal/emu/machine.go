@@ -356,32 +356,7 @@ func (m *Machine) pop() (uint64, error) {
 }
 
 // CondHolds evaluates an x86 condition code against the current flags.
-func (m *Machine) CondHolds(c x86.Cond) bool {
-	f := m.Flags
-	var v bool
-	switch c &^ 1 {
-	case x86.CondO:
-		v = f.OF
-	case x86.CondB:
-		v = f.CF
-	case x86.CondE:
-		v = f.ZF
-	case x86.CondBE:
-		v = f.CF || f.ZF
-	case x86.CondS:
-		v = f.SF
-	case x86.CondP:
-		v = f.PF
-	case x86.CondL:
-		v = f.SF != f.OF
-	case x86.CondLE:
-		v = f.ZF || (f.SF != f.OF)
-	}
-	if c&1 != 0 {
-		return !v
-	}
-	return v
-}
+func (m *Machine) CondHolds(c x86.Cond) bool { return CondHoldsIn(m.Flags, c) }
 
 // Step fetches, decodes, and executes one instruction.
 func (m *Machine) Step() error {
