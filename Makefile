@@ -130,11 +130,13 @@ cover:
 # Short live fuzz of the differential harness on top of the pinned corpus,
 # of the assembler's layout and placement against a direct encoding, of
 # the artifact store's Open and Get over arbitrary segment bytes, of the
-# trace tier's per-binade cycle replay against the step-by-step sum, and of
-# DBrew's constant folding of integer instructions against the interpreter.
+# trace tier's per-binade cycle replay against the step-by-step sum, of
+# DBrew's constant folding of integer instructions against the interpreter,
+# and of one SSE instruction on the block engine against the interpreter.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=30s ./internal/crosstest
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutPlace -fuzztime=10s ./internal/x86/asm
 	$(GO) test -run='^$$' -fuzz=FuzzStoreOpen -fuzztime=10s ./internal/diskcache
 	$(GO) test -run='^$$' -fuzz=FuzzReplayIters -fuzztime=10s ./internal/emu
 	$(GO) test -run='^$$' -fuzz=FuzzFoldMatchesInterp -fuzztime=10s ./internal/dbrew
+	$(GO) test -run='^$$' -fuzz=FuzzSSEEngines -fuzztime=10s ./internal/emu

@@ -236,23 +236,41 @@ func intSar(a, b uint64, sz uint8, f *Flags) (uint64, x86.FlagSet, bool) {
 	return shifted(trunc(a, sz), trunc(uint64(sv>>n), sz), n, sz, sv>>(n-1)&1 != 0, f)
 }
 
-// intRol and intRor leave the flags alone.
-func intRol(a, b uint64, sz uint8, _ *Flags) (uint64, x86.FlagSet, bool) {
+// intRol and intRor set CF to the bit rotated into the end of the result,
+// bit 0 for rol and the top bit for ror, and OF as x86 defines it for a
+// count of 1: the top bit XOR CF for rol, the top two bits XORed for ror.
+// x86 leaves OF undefined for a larger count; the kernel sets it by the
+// same rule and counts it as defined only for a count of 1.
+func intRol(a, b uint64, sz uint8, f *Flags) (uint64, x86.FlagSet, bool) {
 	n, w := shiftCount(b, sz), uint64(sz)*8
 	if n == 0 {
 		return a, 0, false
 	}
 	v, c := trunc(a, sz), n%w
-	return trunc(v<<c|v>>(w-c), sz), 0, true
+	res := trunc(v<<c|v>>(w-c), sz)
+	f.CF = res&1 != 0
+	f.OF = signBit(res, sz) != f.CF
+	return res, rotated(n), true
 }
 
-func intRor(a, b uint64, sz uint8, _ *Flags) (uint64, x86.FlagSet, bool) {
+func intRor(a, b uint64, sz uint8, f *Flags) (uint64, x86.FlagSet, bool) {
 	n, w := shiftCount(b, sz), uint64(sz)*8
 	if n == 0 {
 		return a, 0, false
 	}
 	v, c := trunc(a, sz), n%w
-	return trunc(v>>c|v<<(w-c), sz), 0, true
+	res := trunc(v>>c|v<<(w-c), sz)
+	f.CF = signBit(res, sz)
+	f.OF = f.CF != (res>>(w-2)&1 != 0)
+	return res, rotated(n), true
+}
+
+// rotated is the set of flags a rotate by the masked count n defines.
+func rotated(n uint64) x86.FlagSet {
+	if n == 1 {
+		return x86.FlagCF | x86.FlagOF
+	}
+	return x86.FlagCF
 }
 
 // shiftCount masks a shift or rotate count as the hardware does.

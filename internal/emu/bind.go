@@ -2,7 +2,6 @@ package emu
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/x86"
 )
@@ -11,18 +10,24 @@ import (
 var (
 	errEmptyRead = errors.New("emu: read of empty operand")
 	errBadWrite  = errors.New("emu: write to bad operand")
+	errBadSSE    = errors.New("emu: bad SSE operand")
 )
 
 // bindExec returns the pre-bound executor for one decoded instruction.
 // Specialized bindings resolve operand kinds, widths, register facets, and
 // condition codes at translate time. Integer arithmetic and its flags come
 // from the integer kernel (alu.go), the same definition the interpreter and
-// DBrew's constant folder use; every remaining op falls back to a closure
-// over the interpreter's exec (MUL/DIV and the exotic SSE shuffles among
-// them), so the interpreter and the block engine cannot diverge.
+// DBrew's constant folder use, and every SSE instruction comes from the SSE
+// kernel (sse.go), the same definition the interpreter uses. The remaining
+// ops (MUL/DIV/IDIV, XCHG, UD2 and the byte string ops) fall back to a
+// closure over the interpreter's exec, so the interpreter and the block
+// engine cannot diverge.
 func bindExec(in *x86.Inst) execFn {
 	if fn, a, b, out := intOp(in); fn != nil {
 		return bindInt(in, fn, a, b, out)
+	}
+	if k := sseOp(in); k.fn != nil {
+		return bindSSE(in, k)
 	}
 	switch in.Op {
 	case x86.NOP, x86.ENDBR64:
@@ -184,102 +189,10 @@ func bindExec(in *x86.Inst) execFn {
 			}
 			return w(m, v)
 		}
-
-	// --- SSE ---
-
-	case x86.MOVSD_X:
-		return bindMovScalar(in, 8)
-	case x86.MOVSS_X:
-		return bindMovScalar(in, 4)
-	case x86.MOVAPS, x86.MOVAPD, x86.MOVDQA:
-		return bindMov128(in, true)
-	case x86.MOVUPS, x86.MOVUPD, x86.MOVDQU:
-		return bindMov128(in, false)
-	case x86.MOVQ:
-		return bindMovQ(in)
-
-	case x86.ADDSD:
-		return bindScalarF64(in, AddF64)
-	case x86.SUBSD:
-		return bindScalarF64(in, SubF64)
-	case x86.MULSD:
-		return bindScalarF64(in, MulF64)
-	case x86.DIVSD:
-		return bindScalarF64(in, DivF64)
-	case x86.MINSD:
-		return bindScalarF64(in, func(a, b float64) float64 {
-			if b < a {
-				return b
-			}
-			return a
-		})
-	case x86.MAXSD:
-		return bindScalarF64(in, func(a, b float64) float64 {
-			if b > a {
-				return b
-			}
-			return a
-		})
-	case x86.ADDSS:
-		return bindScalarF32(in, func(a, b float32) float32 { return a + b })
-	case x86.SUBSS:
-		return bindScalarF32(in, func(a, b float32) float32 { return a - b })
-	case x86.MULSS:
-		return bindScalarF32(in, func(a, b float32) float32 { return a * b })
-	case x86.DIVSS:
-		return bindScalarF32(in, func(a, b float32) float32 { return a / b })
-
-	case x86.ADDPD:
-		return bindPackedF64(in, AddF64)
-	case x86.SUBPD:
-		return bindPackedF64(in, SubF64)
-	case x86.MULPD:
-		return bindPackedF64(in, MulF64)
-	case x86.DIVPD:
-		return bindPackedF64(in, DivF64)
-
-	case x86.XORPS, x86.XORPD, x86.PXOR:
-		return bindBitwise(in, func(a, b uint64) uint64 { return a ^ b })
-	case x86.ANDPS, x86.ANDPD, x86.PAND:
-		return bindBitwise(in, func(a, b uint64) uint64 { return a & b })
-	case x86.ORPS, x86.ORPD, x86.POR:
-		return bindBitwise(in, func(a, b uint64) uint64 { return a | b })
-	case x86.PADDQ:
-		return bindBitwise(in, func(a, b uint64) uint64 { return a + b })
-	case x86.PSUBQ:
-		return bindBitwise(in, func(a, b uint64) uint64 { return a - b })
-
-	case x86.CVTSI2SD:
-		if in.Dst.Kind == x86.KReg && in.Dst.Reg.IsXMM() {
-			r, sz := bindRead(in, in.Src), in.Src.Size
-			di := int(in.Dst.Reg - x86.XMM0)
-			return func(m *Machine) error {
-				v, err := r(m)
-				if err != nil {
-					return err
-				}
-				m.XMM[di].Lo = f64bits(float64(signExtend(v, sz)))
-				return nil
-			}
-		}
-
-	case x86.COMISD, x86.UCOMISD:
-		if in.Dst.Kind == x86.KReg && in.Dst.Reg.IsXMM() {
-			src := bindReadXMMLo(in, in.Src, 8)
-			di := int(in.Dst.Reg - x86.XMM0)
-			return func(m *Machine) error {
-				s, err := src(m)
-				if err != nil {
-					return err
-				}
-				m.comi(f64frombits(m.XMM[di].Lo), f64frombits(s))
-				return nil
-			}
-		}
 	}
 
-	// Everything else (MUL/DIV/IDIV, XCHG, shuffles/unpacks, conversions,
-	// ...) executes through the interpreter.
+	// Everything else (MUL/DIV/IDIV, XCHG, UD2, the byte string ops)
+	// executes through the interpreter.
 	return func(m *Machine) error { return m.exec(in) }
 }
 
@@ -337,226 +250,123 @@ func bindInt(in *x86.Inst, fn intFn, a, b, out *x86.Operand) execFn {
 // ---------------------------------------------------------------------------
 // SSE binding
 
-// bindReadXMMLo binds the low-lane read of an SSE source operand: the low
-// 64 bits of an XMM register, a GP register facet, or a memory load of the
-// given width (with accounting, like the interpreter's readXMM).
-func bindReadXMMLo(in *x86.Inst, o x86.Operand, size int) readFn {
-	if o.Kind == x86.KReg {
-		if o.Reg.IsXMM() {
-			si := int(o.Reg - x86.XMM0)
-			return func(m *Machine) (uint64, error) { return m.XMM[si].Lo, nil }
-		}
-		return bindRead(in, o)
-	}
-	return bindMemLoad(bindEA(in, o), size)
-}
-
 type readXMMFn func(*Machine) (XMMReg, error)
 
-// bindReadXMM128 binds a full 16-byte SSE source read.
-func bindReadXMM128(in *x86.Inst, o x86.Operand) readXMMFn {
-	if o.Kind == x86.KReg {
-		if o.Reg.IsXMM() {
-			si := int(o.Reg - x86.XMM0)
-			return func(m *Machine) (XMMReg, error) { return m.XMM[si], nil }
+// bindSSE binds an instruction of the SSE kernel: the source read, the
+// destination's value and the write-back are resolved at translate time,
+// and the opcode's kernel function, chosen once here, computes the result.
+// The dominant shapes, an XMM register updated from a register or from a
+// scalar load and a scalar store of a register, read their source without
+// a closure of its own.
+func bindSSE(in *x86.Inst, k sseKernel) execFn {
+	fn, imm := k.fn, uint8(in.Src2.Imm)
+	di, keep := in.Dst.Reg-x86.XMM0, !(k.mem == sseZeroing && in.Src.Kind == x86.KMem)
+	si, srcXMM := in.Src.Reg-x86.XMM0, in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM()
+	switch {
+	case k.dst == sseToXMM && srcXMM:
+		return func(m *Machine) error {
+			m.XMM[di] = fn(m.XMM[di], m.XMM[si], imm, &m.Flags)
+			return nil
 		}
+	case k.dst == sseToMem && k.width != 16 && srcXMM:
+		store := bindMemStore(bindEA(in, in.Dst), k.width)
+		return func(m *Machine) error {
+			return store(m, fn(XMMReg{}, m.XMM[si], imm, &m.Flags).Lo)
+		}
+	case k.dst == sseToXMM && in.Src.Kind == x86.KMem && k.width != 16:
+		load := bindMemLoad(bindEA(in, in.Src), k.width)
+		return func(m *Machine) error {
+			v, err := load(m)
+			if err != nil {
+				return err
+			}
+			var d XMMReg
+			if keep {
+				d = m.XMM[di]
+			}
+			m.XMM[di] = fn(d, XMMReg{Lo: v}, imm, &m.Flags)
+			return nil
+		}
+	}
+	src := bindSSESrc(in, k)
+	switch {
+	case k.dst == sseToXMM:
+		return func(m *Machine) error {
+			s, err := src(m)
+			if err != nil {
+				return err
+			}
+			var d XMMReg
+			if keep {
+				d = m.XMM[di]
+			}
+			m.XMM[di] = fn(d, s, imm, &m.Flags)
+			return nil
+		}
+	case k.dst == sseToMem && k.width == 16:
+		ea, aligned := bindEA(in, in.Dst), k.mem == sseAligned
+		return func(m *Machine) error {
+			s, err := src(m)
+			if err != nil {
+				return err
+			}
+			r := fn(XMMReg{}, s, imm, &m.Flags)
+			addr := ea(m)
+			if aligned && addr%16 != 0 {
+				return misaligned(addr, true)
+			}
+			m.accountMem(addr, 16, true)
+			return m.memStore128(addr, r.Lo, r.Hi)
+		}
+	}
+	var w writeFn
+	if k.dst == sseToMem {
+		w = bindMemStore(bindEA(in, in.Dst), k.width)
+	} else {
+		w = bindWrite(in, in.Dst)
+	}
+	return func(m *Machine) error {
+		s, err := src(m)
+		if err != nil {
+			return err
+		}
+		return w(m, fn(XMMReg{}, s, imm, &m.Flags).Lo)
+	}
+}
+
+// bindSSESrc binds the read of an SSE source operand, as the interpreter's
+// readXMM reads it: a whole XMM register, a GP register facet, or a memory
+// load of the kernel's width with accounting (and, for movap*/movdqa, the
+// alignment check first).
+func bindSSESrc(in *x86.Inst, k sseKernel) readXMMFn {
+	o := in.Src
+	switch {
+	case o.Kind == x86.KReg && o.Reg.IsXMM():
+		si := o.Reg - x86.XMM0
+		return func(m *Machine) (XMMReg, error) { return m.XMM[si], nil }
+	case o.Kind == x86.KReg:
 		r := bindRead(in, o)
 		return func(m *Machine) (XMMReg, error) {
 			v, err := r(m)
 			return XMMReg{Lo: v}, err
 		}
+	case o.Kind != x86.KMem:
+		return func(*Machine) (XMMReg, error) { return XMMReg{}, errBadSSE }
+	case k.width != 16:
+		load := bindMemLoad(bindEA(in, o), k.width)
+		return func(m *Machine) (XMMReg, error) {
+			v, err := load(m)
+			return XMMReg{Lo: v}, err
+		}
 	}
-	ea := bindEA(in, o)
+	ea, aligned := bindEA(in, o), k.mem == sseAligned
 	return func(m *Machine) (XMMReg, error) {
 		addr := ea(m)
+		if aligned && addr%16 != 0 {
+			return XMMReg{}, misaligned(addr, false)
+		}
 		m.accountMem(addr, 16, false)
 		lo, hi, err := m.memLoad128(addr)
 		return XMMReg{Lo: lo, Hi: hi}, err
-	}
-}
-
-// bindMovScalar binds MOVSD_X (size 8) / MOVSS_X (size 4).
-func bindMovScalar(in *x86.Inst, size int) execFn {
-	if in.Dst.Kind == x86.KReg && in.Dst.Reg.IsXMM() {
-		di := int(in.Dst.Reg - x86.XMM0)
-		if in.Src.Kind == x86.KMem {
-			load := bindMemLoad(bindEA(in, in.Src), size)
-			return func(m *Machine) error {
-				v, err := load(m)
-				if err != nil {
-					return err
-				}
-				m.XMM[di] = XMMReg{Lo: v} // load form zeroes the rest
-				return nil
-			}
-		}
-		if in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM() {
-			si := int(in.Src.Reg - x86.XMM0)
-			if size == 8 {
-				return func(m *Machine) error {
-					m.XMM[di].Lo = m.XMM[si].Lo // register form preserves upper
-					return nil
-				}
-			}
-			return func(m *Machine) error {
-				m.XMM[di].Lo = m.XMM[di].Lo&^uint64(0xFFFFFFFF) | m.XMM[si].Lo&0xFFFFFFFF
-				return nil
-			}
-		}
-		return func(m *Machine) error { return m.exec(in) }
-	}
-	if in.Dst.Kind == x86.KMem && in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM() {
-		store := bindMemStore(bindEA(in, in.Dst), size)
-		si := int(in.Src.Reg - x86.XMM0)
-		if size == 8 {
-			return func(m *Machine) error {
-				return store(m, m.XMM[si].Lo)
-			}
-		}
-		return func(m *Machine) error {
-			return store(m, m.XMM[si].Lo&0xFFFFFFFF)
-		}
-	}
-	return func(m *Machine) error { return m.exec(in) }
-}
-
-// bindMov128 binds the 16-byte move family; aligned variants keep the
-// interpreter's alignment fault text.
-func bindMov128(in *x86.Inst, aligned bool) execFn {
-	if in.Dst.Kind == x86.KMem && in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM() {
-		ea := bindEA(in, in.Dst)
-		si := int(in.Src.Reg - x86.XMM0)
-		return func(m *Machine) error {
-			addr := ea(m)
-			if aligned && addr%16 != 0 {
-				return fmt.Errorf("aligned 16-byte store to unaligned address %#x", addr)
-			}
-			m.accountMem(addr, 16, true)
-			s := m.XMM[si]
-			return m.memStore128(addr, s.Lo, s.Hi)
-		}
-	}
-	if in.Dst.Kind == x86.KReg && in.Dst.Reg.IsXMM() {
-		di := int(in.Dst.Reg - x86.XMM0)
-		if in.Src.Kind == x86.KMem {
-			ea := bindEA(in, in.Src)
-			return func(m *Machine) error {
-				addr := ea(m)
-				if aligned && addr%16 != 0 {
-					return fmt.Errorf("aligned 16-byte load from unaligned address %#x", addr)
-				}
-				m.accountMem(addr, 16, false)
-				lo, hi, err := m.memLoad128(addr)
-				if err != nil {
-					return err
-				}
-				m.XMM[di] = XMMReg{Lo: lo, Hi: hi}
-				return nil
-			}
-		}
-		if in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM() {
-			si := int(in.Src.Reg - x86.XMM0)
-			return func(m *Machine) error {
-				m.XMM[di] = m.XMM[si]
-				return nil
-			}
-		}
-	}
-	return func(m *Machine) error { return m.exec(in) }
-}
-
-// bindMovQ binds MOVQ (xmm<-xmm/m64 zero-extending, m64<-xmm).
-func bindMovQ(in *x86.Inst) execFn {
-	if in.Dst.Kind == x86.KReg && in.Dst.Reg.IsXMM() {
-		src := bindReadXMMLo(in, in.Src, 8)
-		di := int(in.Dst.Reg - x86.XMM0)
-		return func(m *Machine) error {
-			v, err := src(m)
-			if err != nil {
-				return err
-			}
-			m.XMM[di] = XMMReg{Lo: v} // zeroes upper lane
-			return nil
-		}
-	}
-	if in.Dst.Kind == x86.KMem && in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM() {
-		ea := bindEA(in, in.Dst)
-		si := int(in.Src.Reg - x86.XMM0)
-		return func(m *Machine) error {
-			addr := ea(m)
-			m.accountMem(addr, 8, true)
-			return m.memStore(addr, 8, m.XMM[si].Lo)
-		}
-	}
-	return func(m *Machine) error { return m.exec(in) }
-}
-
-func bindScalarF64(in *x86.Inst, op func(a, b float64) float64) execFn {
-	if in.Dst.Kind != x86.KReg || !in.Dst.Reg.IsXMM() {
-		return func(m *Machine) error { return m.exec(in) }
-	}
-	src := bindReadXMMLo(in, in.Src, 8)
-	di := int(in.Dst.Reg - x86.XMM0)
-	return func(m *Machine) error {
-		s, err := src(m)
-		if err != nil {
-			return err
-		}
-		d := &m.XMM[di]
-		d.Lo = f64bits(op(f64frombits(d.Lo), f64frombits(s)))
-		return nil
-	}
-}
-
-func bindScalarF32(in *x86.Inst, op func(a, b float32) float32) execFn {
-	if in.Dst.Kind != x86.KReg || !in.Dst.Reg.IsXMM() {
-		return func(m *Machine) error { return m.exec(in) }
-	}
-	src := bindReadXMMLo(in, in.Src, 4)
-	di := int(in.Dst.Reg - x86.XMM0)
-	return func(m *Machine) error {
-		s, err := src(m)
-		if err != nil {
-			return err
-		}
-		d := &m.XMM[di]
-		d.Lo = d.Lo&^uint64(0xFFFFFFFF) | uint64(f32bits(op(f32frombits(uint32(d.Lo)), f32frombits(uint32(s)))))
-		return nil
-	}
-}
-
-func bindPackedF64(in *x86.Inst, op func(a, b float64) float64) execFn {
-	if in.Dst.Kind != x86.KReg || !in.Dst.Reg.IsXMM() {
-		return func(m *Machine) error { return m.exec(in) }
-	}
-	src := bindReadXMM128(in, in.Src)
-	di := int(in.Dst.Reg - x86.XMM0)
-	return func(m *Machine) error {
-		s, err := src(m)
-		if err != nil {
-			return err
-		}
-		d := &m.XMM[di]
-		d.Lo = f64bits(op(f64frombits(d.Lo), f64frombits(s.Lo)))
-		d.Hi = f64bits(op(f64frombits(d.Hi), f64frombits(s.Hi)))
-		return nil
-	}
-}
-
-func bindBitwise(in *x86.Inst, op func(a, b uint64) uint64) execFn {
-	if in.Dst.Kind != x86.KReg || !in.Dst.Reg.IsXMM() {
-		return func(m *Machine) error { return m.exec(in) }
-	}
-	src := bindReadXMM128(in, in.Src)
-	di := int(in.Dst.Reg - x86.XMM0)
-	return func(m *Machine) error {
-		s, err := src(m)
-		if err != nil {
-			return err
-		}
-		d := &m.XMM[di]
-		d.Lo = op(d.Lo, s.Lo)
-		d.Hi = op(d.Hi, s.Hi)
-		return nil
 	}
 }

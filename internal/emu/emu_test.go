@@ -246,19 +246,19 @@ func TestCondHolds(t *testing.T) {
 
 func TestComisd(t *testing.T) {
 	m := NewMachine(NewMemory(0x1000000))
-	m.comi(1, 2)
+	comi(&m.Flags, 1, 2)
 	if !m.Flags.CF || m.Flags.ZF {
 		t.Error("1 < 2 must set CF only")
 	}
-	m.comi(2, 1)
+	comi(&m.Flags, 2, 1)
 	if m.Flags.CF || m.Flags.ZF {
 		t.Error("2 > 1 must clear CF and ZF")
 	}
-	m.comi(2, 2)
+	comi(&m.Flags, 2, 2)
 	if m.Flags.CF || !m.Flags.ZF {
 		t.Error("equal must set ZF only")
 	}
-	m.comi(math.NaN(), 1)
+	comi(&m.Flags, math.NaN(), 1)
 	if !m.Flags.CF || !m.Flags.ZF || !m.Flags.PF {
 		t.Error("unordered must set ZF, PF, CF")
 	}

@@ -106,6 +106,22 @@ func TestRotates(t *testing.T) {
 	if m.GPR[x86.RAX] != 0x8000000000000001 {
 		t.Errorf("ror: %#x", m.GPR[x86.RAX])
 	}
+	// CF is the bit rotated into the end, OF the top bit XOR the bit beside
+	// it in the rotation, whatever CF held before.
+	m = run(t, nil, func(b *asm.Builder) {
+		b.I(x86.MOV, x86.R64(x86.RAX), x86.Imm(1, 8))
+		b.I(x86.CLC)
+		b.I(x86.ROR, x86.R64(x86.RAX), x86.Imm(1, 1))
+	})
+	if m.GPR[x86.RAX] != 1<<63 || !m.Flags.CF || !m.Flags.OF {
+		t.Errorf("ror 1 by 1: %#x with flags %+v, want CF and OF set", m.GPR[x86.RAX], m.Flags)
+	}
+	m = run(t, func(m *Machine) { m.GPR[x86.RAX], m.Flags.CF = 0x40, true }, func(b *asm.Builder) {
+		b.I(x86.ROL, x86.R8L(x86.RAX), x86.Imm(2, 1))
+	})
+	if m.GPR[x86.RAX] != 1 || !m.Flags.CF || !m.Flags.OF {
+		t.Errorf("rol 0x40 by 2 in al: %#x with flags %+v, want CF and OF set", m.GPR[x86.RAX], m.Flags)
+	}
 }
 
 func TestVariableShift(t *testing.T) {
@@ -261,6 +277,34 @@ func TestSSEConversions(t *testing.T) {
 	if int64(m.GPR[x86.RBX]) != -7 {
 		t.Errorf("cvttsd2si round trip: %d", int64(m.GPR[x86.RBX]))
 	}
+	// Into a 32-bit register, NaN, the infinities and every value outside
+	// int32 give 0x80000000; into a 64-bit one, outside int64 gives 1<<63.
+	for _, c := range []struct {
+		v    float64
+		dst  x86.Operand
+		want uint64
+	}{
+		{-7.9, x86.R32(x86.RBX), 0xFFFFFFF9},
+		{2147483647.9, x86.R32(x86.RBX), 0x7FFFFFFF},
+		{-2147483648.9, x86.R32(x86.RBX), 0x80000000},
+		{3e9, x86.R32(x86.RBX), 0x80000000},
+		{-2147483649, x86.R32(x86.RBX), 0x80000000},
+		{math.NaN(), x86.R32(x86.RBX), 0x80000000},
+		{math.Inf(1), x86.R32(x86.RBX), 0x80000000},
+		{math.Inf(-1), x86.R32(x86.RBX), 0x80000000},
+		{3e9, x86.R64(x86.RBX), 3000000000},
+		{0x1p63, x86.R64(x86.RBX), 1 << 63},
+		{math.NaN(), x86.R64(x86.RBX), 1 << 63},
+	} {
+		m := run(t, func(m *Machine) {
+			m.XMM[0].Lo, m.GPR[x86.RBX] = math.Float64bits(c.v), ^uint64(0)
+		}, func(b *asm.Builder) {
+			b.I(x86.CVTTSD2SI, c.dst, x86.X(x86.XMM0))
+		})
+		if m.GPR[x86.RBX] != c.want {
+			t.Errorf("cvttsd2si of %g into %d bytes = %#x, want %#x", c.v, c.dst.Size, m.GPR[x86.RBX], c.want)
+		}
+	}
 }
 
 func TestPackedIntAndShuffles(t *testing.T) {
@@ -310,6 +354,32 @@ func TestMinMaxSqrt(t *testing.T) {
 	})
 	if f64frombits(m.XMM[2].Lo) != 4 {
 		t.Errorf("min/max/sqrt chain: %g", f64frombits(m.XMM[2].Lo))
+	}
+	// minsd and maxsd keep the destination only when it compares strictly
+	// less (greater): a NaN in either operand and a tie of +0 and -0 give
+	// the source, and the upper lane is the destination's.
+	nan, one, pz, nz := f64bits(math.NaN()), f64bits(1), uint64(0), uint64(1)<<63
+	for _, c := range []struct {
+		op             x86.Op
+		dst, src, want uint64
+	}{
+		{x86.MINSD, nan, one, one},
+		{x86.MINSD, one, nan, nan},
+		{x86.MINSD, pz, nz, nz},
+		{x86.MINSD, nz, pz, pz},
+		{x86.MAXSD, nan, one, one},
+		{x86.MAXSD, one, nan, nan},
+		{x86.MAXSD, pz, nz, nz},
+		{x86.MAXSD, nz, pz, pz},
+	} {
+		m := run(t, func(m *Machine) {
+			m.XMM[0], m.XMM[1] = XMMReg{Lo: c.dst, Hi: 7}, XMMReg{Lo: c.src, Hi: 9}
+		}, func(b *asm.Builder) {
+			b.I(c.op, x86.X(x86.XMM0), x86.X(x86.XMM1))
+		})
+		if m.XMM[0] != (XMMReg{Lo: c.want, Hi: 7}) {
+			t.Errorf("%v(%#x, %#x) = %#x, want %#x", c.op, c.dst, c.src, m.XMM[0], XMMReg{Lo: c.want, Hi: 7})
+		}
 	}
 }
 

@@ -548,8 +548,14 @@ func (ip *Interp) eval(fr *frame, in *Inst) (RV, error) {
 		if err != nil {
 			return RV{}, err
 		}
+		// As x86's cvttsd2si, which the JIT emits: a result narrower than
+		// 32 bits is the low bits of the 32-bit conversion.
 		_, lb, _ := elemInfo(in.Args[0].Type())
-		return RV{Lo: maskBits(uint64(int64(fpFromLane(x.Lo, lb))), in.Ty.Bits)}, nil
+		size := uint8(4)
+		if in.Ty.Bits > 32 {
+			size = 8
+		}
+		return RV{Lo: maskBits(emu.TruncF64(fpFromLane(x.Lo, lb), size), in.Ty.Bits)}, nil
 	case OpSIToFP:
 		x, err := a(0)
 		if err != nil {

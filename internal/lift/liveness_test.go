@@ -156,7 +156,9 @@ func TestShiftFlagsOracle(t *testing.T) {
 
 // TestLiftShiftRotateFlags runs shifts and rotates whose flags a later
 // instruction reads, at O0 and O3: shr's CF is the last bit shifted out, a
-// CL count of 0 keeps the flags of the cmp before it, and a rotate keeps ZF.
+// CL count of 0 keeps the flags of the cmp before it, a rotate keeps ZF, and
+// a rotate's CF and OF match the emulator's, at a count of 1, above it, and
+// at a count that is a multiple of the operand width.
 func TestLiftShiftRotateFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -180,6 +182,27 @@ func TestLiftShiftRotateFlags(t *testing.T) {
 			b.I(x86.CMP, x86.R64(x86.RDI), x86.R64(x86.RSI))
 			b.I(x86.ROL, x86.R64(x86.RAX), x86.Imm(3, 1))
 			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondE, Dst: x86.R8L(x86.RAX)})
+		}},
+		{"ror_setc", []uint64{1, 0, 0}, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+			b.I(x86.CLC)
+			b.I(x86.ROR, x86.R64(x86.RAX), x86.Imm(1, 1))
+			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondB, Dst: x86.R8L(x86.RAX)})
+		}},
+		{"ror_seto", []uint64{1, 0, 0}, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+			b.I(x86.ROR, x86.R64(x86.RAX), x86.Imm(1, 1))
+			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondO, Dst: x86.R8L(x86.RAX)})
+		}},
+		{"rol8_by2_seto", []uint64{0x40, 0, 0}, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+			b.I(x86.ROL, x86.R8L(x86.RAX), x86.Imm(2, 1))
+			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondO, Dst: x86.R8L(x86.RAX)})
+		}},
+		{"ror8_by8_setc", []uint64{0x80, 0, 0}, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+			b.I(x86.ROR, x86.R8L(x86.RAX), x86.Imm(8, 1))
+			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondB, Dst: x86.R8L(x86.RAX)})
 		}},
 	}
 	sig := abi.Sig(abi.ClassInt, abi.ClassInt, abi.ClassInt, abi.ClassInt)

@@ -150,11 +150,11 @@ func (l *Lifter) translateSSE(s *state, in *x86.Inst) error {
 		return l.scalarSSE(s, in, FF64, func(a, c ir.Value) ir.Value { return b.FDiv(a, c) })
 	case x86.MINSD:
 		return l.scalarSSE(s, in, FF64, func(a, c ir.Value) ir.Value {
-			return b.Select(b.FCmp(ir.PredOLT, c, a), c, a)
+			return b.Select(b.FCmp(ir.PredOLT, a, c), a, c)
 		})
 	case x86.MAXSD:
 		return l.scalarSSE(s, in, FF64, func(a, c ir.Value) ir.Value {
-			return b.Select(b.FCmp(ir.PredOGT, c, a), c, a)
+			return b.Select(b.FCmp(ir.PredOGT, a, c), a, c)
 		})
 	case x86.SQRTSD:
 		c := l.readSSEOperand(s, in, in.Src, FF64)

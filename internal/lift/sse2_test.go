@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/abi"
+	"repro/internal/ir"
+	"repro/internal/opt"
 	"repro/internal/x86"
 	"repro/internal/x86/asm"
 )
@@ -112,13 +114,54 @@ func TestLiftCvtChain(t *testing.T) {
 	}
 }
 
+// TestLiftCvttsd2si32Indefinite converts NaN, the infinities and doubles
+// outside int32 into a 32-bit register: the lifted IR gives 0x80000000 as
+// the machine does, interpreted as lifted and, for a double converted from
+// an integer constant, folded to a constant at O3.
+func TestLiftCvttsd2si32Indefinite(t *testing.T) {
+	const want = 0x80000000
+	mem := buildFunc(t, func(b *asm.Builder) {
+		b.I(x86.CVTTSD2SI, x86.R32(x86.RAX), x86.X(x86.XMM0))
+		b.Ret()
+	})
+	sig := abi.Signature{Params: []abi.Class{abi.ClassF64}, Ret: abi.ClassInt}
+	for _, v := range []float64{3e9, -3e9, -2147483649, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		got, lifted := crossCheck(t, mem, sig, DefaultOptions(), nil, []float64{v})
+		if got != want || lifted != want {
+			t.Errorf("cvttsd2si eax, %g: machine %#x, lifted %#x, want %#x", v, got, lifted, want)
+		}
+	}
+	for _, n := range []int64{3e9, -3e9, -2147483649} {
+		cmem := buildFunc(t, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.Imm(n, 8))
+			b.I(x86.CVTSI2SD, x86.X(x86.XMM0), x86.R64(x86.RAX))
+			b.I(x86.CVTTSD2SI, x86.R32(x86.RAX), x86.X(x86.XMM0))
+			b.Ret()
+		})
+		f, err := New(cmem, DefaultOptions()).LiftFunc(codeBase, "f", abi.Sig(abi.ClassInt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Optimize(f, opt.O3())
+		res, err := ir.NewInterp(cmem).CallFunc(f, nil)
+		if err != nil || res.Lo != want {
+			t.Errorf("cvttsd2si eax of the constant %d at O3: %#x (%v), want %#x\n%s", n, res.Lo, err, want, ir.FormatFunc(f))
+		}
+	}
+}
+
 func TestLiftMinMaxSqrtSd(t *testing.T) {
 	vals := [4]float64{9.0, 2.0, 4.0, 16.0}
+	// A NaN on either side and a tie of +0 and -0 give the source.
+	nan, nz := math.NaN(), math.Copysign(0, -1)
+	edges := [][4]float64{vals, {nan, 2, 1, 3}, {1, 2, nan, 3}, {0, 2, nz, 3}, {nz, 2, 0, 3}}
 	for _, op := range []x86.Op{x86.MINSD, x86.MAXSD} {
 		op := op
-		ssePairCheck(t, vals, func(b *asm.Builder) {
-			b.I(op, x86.X(x86.XMM0), x86.X(x86.XMM1))
-		})
+		for _, v := range edges {
+			ssePairCheck(t, v, func(b *asm.Builder) {
+				b.I(op, x86.X(x86.XMM0), x86.X(x86.XMM1))
+			})
+		}
 	}
 	ssePairCheck(t, vals, func(b *asm.Builder) {
 		b.I(x86.SQRTSD, x86.X(x86.XMM0), x86.X(x86.XMM1))

@@ -1259,8 +1259,9 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 
 // liftSSE lifts one instruction of the traced SSE2 subset (operand shapes
 // already vetted by checkSSEOperands) onto the lane pairs. Lane semantics
-// follow emu.execSSE: a scalar load zeroes the high lane, scalar register
-// moves and arithmetic preserve it, MOVQ zeroes it.
+// follow the emulator's SSE kernel (emu/sse.go): a scalar load zeroes the
+// high lane, scalar register moves and arithmetic preserve it, MOVQ zeroes
+// it.
 func (l *traceLifter) liftSSE(k int, in *x86.Inst) {
 	zero := ir.Int(ir.I64, 0)
 	if in.Op == x86.MOVQGP {

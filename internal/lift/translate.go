@@ -236,18 +236,34 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 			return facetErr(in, "variable rotate is not supported")
 		}
 		a := l.readIntOperand(s, in, in.Dst)
-		bits := uint64(a.Type().Bits)
+		ty := a.Type()
+		bits := uint64(ty.Bits)
 		cnt := in.ShiftCount()
 		res := a
 		if n := cnt % bits; n != 0 && in.Op == x86.ROL {
-			res = b.Or(b.Shl(a, ir.Int(a.Type(), n)), b.LShr(a, ir.Int(a.Type(), bits-n)))
+			res = b.Or(b.Shl(a, ir.Int(ty, n)), b.LShr(a, ir.Int(ty, bits-n)))
 		} else if n != 0 {
-			res = b.Or(b.LShr(a, ir.Int(a.Type(), n)), b.Shl(a, ir.Int(a.Type(), bits-n)))
+			res = b.Or(b.LShr(a, ir.Int(ty, n)), b.Shl(a, ir.Int(ty, bits-n)))
 		}
 		if cnt != 0 {
-			// ZF, SF, PF and AF keep their values.
-			s.setFlag(fCF, ir.UndefOf(ir.I1))
-			s.setFlag(fOF, ir.UndefOf(ir.I1))
+			// CF is the bit rotated into the end: bit 0 for rol, the top
+			// bit for ror. OF is the top bit XOR the bit beside it in the
+			// rotation (bit 0 for rol, the next-to-top bit for ror), the
+			// emulator's value at every count. ZF, SF, PF and AF keep
+			// their values.
+			live, zero := (x86.FlagCF|x86.FlagOF)&^s.dead, ir.Int(ty, 0)
+			if live&x86.FlagCF != 0 && in.Op == x86.ROL {
+				s.setFlag(fCF, b.ICmp(ir.PredNE, b.And(res, ir.Int(ty, 1)), zero))
+			} else if live&x86.FlagCF != 0 {
+				s.setFlag(fCF, b.ICmp(ir.PredSLT, res, zero))
+			}
+			if live&x86.FlagOF != 0 {
+				side := bits - 1
+				if in.Op == x86.ROR {
+					side = 1
+				}
+				s.setFlag(fOF, b.ICmp(ir.PredSLT, b.Xor(res, b.Shl(res, ir.Int(ty, side))), zero))
+			}
 			s.fc = flagCache{}
 		}
 		l.writeIntOperand(s, in, in.Dst, res, nil)

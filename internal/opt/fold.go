@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/emu"
 	"repro/internal/ir"
 )
 
@@ -258,11 +259,18 @@ func foldConst(in *ir.Inst) ir.Value {
 		}
 		return ir.FltT(in.Ty, float64(sextW(a.V, in.Args[0].Type().Bits)))
 	case ir.OpFPToSI:
+		// As x86's cvttsd2si, which the JIT emits (and the IR interpreter
+		// follows): a result narrower than 32 bits is the low bits of the
+		// 32-bit conversion.
 		a, ok := fconstOf(in.Args[0])
 		if !ok {
 			return nil
 		}
-		return ir.Int(in.Ty, uint64(int64(a.V)))
+		size := uint8(4)
+		if in.Ty.Bits > 32 {
+			size = 8
+		}
+		return ir.Int(in.Ty, emu.TruncF64(a.V, size))
 	case ir.OpFPExt, ir.OpFPTrunc:
 		a, ok := fconstOf(in.Args[0])
 		if !ok {
