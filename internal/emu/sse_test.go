@@ -17,6 +17,7 @@ const (
 	sseBufAt   = 0x10000
 	sseBufLen  = 128
 	sseHoleAt  = 0x20000 // mapped by nothing
+	sseStackAt = 0x30000 // a page of stack, so a rig costs no 1 MiB default stack
 	sseMemDisp = 8       // the memory forms address [rdi+8]
 )
 
@@ -122,6 +123,9 @@ func newSSERig(tb testing.TB, code []byte, interp bool) sseRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if _, err := mem.Map(sseStackAt, 4096, "stack"); err != nil {
+		tb.Fatal(err)
+	}
 	m := NewMachine(mem)
 	m.Interp, m.Traces = interp, false
 	return sseRig{m, buf}
@@ -138,6 +142,7 @@ func (r sseRig) run(in sseInput) sseOutcome {
 	}
 	m.XMM[1], m.XMM[2] = in.xmm1, in.xmm2
 	m.GPR[x86.RCX], m.GPR[x86.RDX], m.GPR[x86.RDI] = in.rcx, in.rdx, in.rdi
+	m.GPR[x86.RSP] = sseStackAt + 4096 - 64
 	m.Flags = in.flags
 	_, err := m.Call(sseCodeAt, CallArgs{}, 10)
 	out := sseOutcome{gpr: m.GPR, xmm: m.XMM, flags: m.Flags, mem: bytes.Clone(r.buf.Data),
