@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/x86"
@@ -26,7 +27,7 @@ func bindExec(in *x86.Inst) execFn {
 	if fn, a, b, out := intOp(in); fn != nil {
 		return bindInt(in, fn, a, b, out)
 	}
-	if k := sseOp(in); k.fn != nil {
+	if k := sseOp(in); k != nil {
 		return bindSSE(in, k)
 	}
 	switch in.Op {
@@ -255,82 +256,66 @@ type readXMMFn func(*Machine) (XMMReg, error)
 // bindSSE binds an instruction of the SSE kernel: the source read, the
 // destination's value and the write-back are resolved at translate time,
 // and the opcode's kernel function, chosen once here, computes the result.
-// The dominant shapes, an XMM register updated from a register or from a
-// scalar load and a scalar store of a register, read their source without
-// a closure of its own.
-func bindSSE(in *x86.Inst, k sseKernel) execFn {
+// A memory operand's site keeps the region it last hit, as bindMemLoad's do.
+func bindSSE(in *x86.Inst, k *sseKernel) execFn {
 	fn, imm := k.fn, uint8(in.Src2.Imm)
-	di, keep := in.Dst.Reg-x86.XMM0, !(k.mem == sseZeroing && in.Src.Kind == x86.KMem)
-	si, srcXMM := in.Src.Reg-x86.XMM0, in.Src.Kind == x86.KReg && in.Src.Reg.IsXMM()
-	switch {
-	case k.dst == sseToXMM && srcXMM:
+	if in.Dst.Kind == x86.KMem {
+		// The source of every SSE store is an XMM register.
+		si, ea, size, aligned := in.Src.Reg-x86.XMM0, bindEA(in, in.Dst), k.width, k.mem == sseAligned
+		var cache *Region
 		return func(m *Machine) error {
-			m.XMM[di] = fn(m.XMM[di], m.XMM[si], imm, &m.Flags)
-			return nil
-		}
-	case k.dst == sseToMem && k.width != 16 && srcXMM:
-		store := bindMemStore(bindEA(in, in.Dst), k.width)
-		return func(m *Machine) error {
-			return store(m, fn(XMMReg{}, m.XMM[si], imm, &m.Flags).Lo)
-		}
-	case k.dst == sseToXMM && in.Src.Kind == x86.KMem && k.width != 16:
-		load := bindMemLoad(bindEA(in, in.Src), k.width)
-		return func(m *Machine) error {
-			v, err := load(m)
-			if err != nil {
-				return err
-			}
-			var d XMMReg
-			if keep {
-				d = m.XMM[di]
-			}
-			m.XMM[di] = fn(d, XMMReg{Lo: v}, imm, &m.Flags)
-			return nil
-		}
-	}
-	src := bindSSESrc(in, k)
-	switch {
-	case k.dst == sseToXMM:
-		return func(m *Machine) error {
-			s, err := src(m)
-			if err != nil {
-				return err
-			}
-			var d XMMReg
-			if keep {
-				d = m.XMM[di]
-			}
-			m.XMM[di] = fn(d, s, imm, &m.Flags)
-			return nil
-		}
-	case k.dst == sseToMem && k.width == 16:
-		ea, aligned := bindEA(in, in.Dst), k.mem == sseAligned
-		return func(m *Machine) error {
-			s, err := src(m)
-			if err != nil {
-				return err
-			}
-			r := fn(XMMReg{}, s, imm, &m.Flags)
+			v := fn(XMMReg{}, m.XMM[si], imm, &m.Flags)
 			addr := ea(m)
 			if aligned && addr%16 != 0 {
 				return misaligned(addr, true)
 			}
-			m.accountMem(addr, 16, true)
-			return m.memStore128(addr, r.Lo, r.Hi)
+			m.accountMem(addr, size, true)
+			r := cache
+			if r == nil || addr < r.Start || addr-r.Start+uint64(size) > uint64(len(r.Data)) {
+				if r = m.Mem.find(addr, size); r == nil {
+					return &Fault{Addr: addr, Size: size, Op: "write"}
+				}
+				cache = r
+			}
+			if r.watch.Load() {
+				m.Mem.codeGen.Add(1)
+			}
+			b := r.Data[addr-r.Start:]
+			switch size {
+			case 4:
+				binary.LittleEndian.PutUint32(b, uint32(v.Lo))
+			case 16:
+				binary.LittleEndian.PutUint64(b[8:], v.Hi)
+				fallthrough
+			default:
+				binary.LittleEndian.PutUint64(b, v.Lo)
+			}
+			return nil
 		}
 	}
-	var w writeFn
-	if k.dst == sseToMem {
-		w = bindMemStore(bindEA(in, in.Dst), k.width)
-	} else {
-		w = bindWrite(in, in.Dst)
+	src := bindSSESrc(in, k)
+	if !in.Dst.Reg.IsXMM() {
+		w := bindWrite(in, in.Dst)
+		return func(m *Machine) error {
+			s, err := src(m)
+			if err != nil {
+				return err
+			}
+			return w(m, fn(XMMReg{}, s, imm, &m.Flags).Lo)
+		}
 	}
+	di, keep := in.Dst.Reg-x86.XMM0, !(k.mem == sseZeroing && in.Src.Kind == x86.KMem)
 	return func(m *Machine) error {
 		s, err := src(m)
 		if err != nil {
 			return err
 		}
-		return w(m, fn(XMMReg{}, s, imm, &m.Flags).Lo)
+		var d XMMReg
+		if keep {
+			d = m.XMM[di]
+		}
+		m.XMM[di] = fn(d, s, imm, &m.Flags)
+		return nil
 	}
 }
 
@@ -338,7 +323,7 @@ func bindSSE(in *x86.Inst, k sseKernel) execFn {
 // readXMM reads it: a whole XMM register, a GP register facet, or a memory
 // load of the kernel's width with accounting (and, for movap*/movdqa, the
 // alignment check first).
-func bindSSESrc(in *x86.Inst, k sseKernel) readXMMFn {
+func bindSSESrc(in *x86.Inst, k *sseKernel) readXMMFn {
 	o := in.Src
 	switch {
 	case o.Kind == x86.KReg && o.Reg.IsXMM():
@@ -352,21 +337,29 @@ func bindSSESrc(in *x86.Inst, k sseKernel) readXMMFn {
 		}
 	case o.Kind != x86.KMem:
 		return func(*Machine) (XMMReg, error) { return XMMReg{}, errBadSSE }
-	case k.width != 16:
-		load := bindMemLoad(bindEA(in, o), k.width)
-		return func(m *Machine) (XMMReg, error) {
-			v, err := load(m)
-			return XMMReg{Lo: v}, err
-		}
 	}
-	ea, aligned := bindEA(in, o), k.mem == sseAligned
+	ea, size, aligned := bindEA(in, o), k.width, k.mem == sseAligned
+	var cache *Region
 	return func(m *Machine) (XMMReg, error) {
 		addr := ea(m)
 		if aligned && addr%16 != 0 {
 			return XMMReg{}, misaligned(addr, false)
 		}
-		m.accountMem(addr, 16, false)
-		lo, hi, err := m.memLoad128(addr)
-		return XMMReg{Lo: lo, Hi: hi}, err
+		m.accountMem(addr, size, false)
+		r := cache
+		if r == nil || addr < r.Start || addr-r.Start+uint64(size) > uint64(len(r.Data)) {
+			if r = m.Mem.find(addr, size); r == nil {
+				return XMMReg{}, &Fault{Addr: addr, Size: size, Op: "access"}
+			}
+			cache = r
+		}
+		b := r.Data[addr-r.Start:]
+		switch size {
+		case 4:
+			return XMMReg{Lo: uint64(binary.LittleEndian.Uint32(b))}, nil
+		case 8:
+			return XMMReg{Lo: binary.LittleEndian.Uint64(b)}, nil
+		}
+		return XMMReg{Lo: binary.LittleEndian.Uint64(b), Hi: binary.LittleEndian.Uint64(b[8:])}, nil
 	}
 }

@@ -58,7 +58,7 @@ func (m *Machine) writeXMMMem(in *x86.Inst, o x86.Operand, v XMMReg, size int) e
 // writes the result back.
 func (m *Machine) execSSE(in *x86.Inst) error {
 	k := sseOp(in)
-	if k.fn == nil {
+	if k == nil {
 		return fmt.Errorf("emu: unimplemented instruction %v", in.Op)
 	}
 	if k.mem == sseAligned && in.Src.Kind == x86.KMem {
@@ -70,24 +70,26 @@ func (m *Machine) execSSE(in *x86.Inst) error {
 	if err != nil {
 		return err
 	}
-	var d XMMReg
-	if k.dst == sseToXMM && !(k.mem == sseZeroing && in.Src.Kind == x86.KMem) {
-		d = *m.xmmOf(in.Dst)
-	}
-	res := k.fn(d, s, uint8(in.Src2.Imm), &m.Flags)
-	switch k.dst {
-	case sseToXMM:
-		*m.xmmOf(in.Dst) = res
-		return nil
-	case sseToGP:
-		return m.writeOp(in, in.Dst, res.Lo)
-	}
-	if k.mem == sseAligned {
-		if addr := m.ea(in, in.Dst); addr%16 != 0 {
-			return misaligned(addr, true)
+	imm := uint8(in.Src2.Imm)
+	switch {
+	case in.Dst.Kind == x86.KMem:
+		res := k.fn(XMMReg{}, s, imm, &m.Flags)
+		if k.mem == sseAligned {
+			if addr := m.ea(in, in.Dst); addr%16 != 0 {
+				return misaligned(addr, true)
+			}
 		}
+		return m.writeXMMMem(in, in.Dst, res, k.width)
+	case !in.Dst.Reg.IsXMM():
+		return m.writeOp(in, in.Dst, k.fn(XMMReg{}, s, imm, &m.Flags).Lo)
 	}
-	return m.writeXMMMem(in, in.Dst, res, k.width)
+	d := m.xmmOf(in.Dst)
+	if k.mem == sseZeroing && in.Src.Kind == x86.KMem {
+		*d = k.fn(XMMReg{}, s, imm, &m.Flags)
+	} else {
+		*d = k.fn(*d, s, imm, &m.Flags)
+	}
+	return nil
 }
 
 // misaligned is the fault of a movap*/movdqa access at an address that is

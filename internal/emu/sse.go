@@ -35,58 +35,36 @@ const (
 	sseZeroing
 )
 
-// sseDst is where an SSE instruction's result goes.
-type sseDst uint8
-
-const (
-	sseToXMM sseDst = iota
-	sseToGP
-	sseToMem
-)
-
 // sseKernel is an SSE instruction's definition plus the facts its operand
-// handling needs. (Four fields, so that the compiler keeps a returned entry
-// in registers.)
+// handling needs. Where the result goes, an XMM register, a GP register or
+// memory, the engines read off the destination operand.
 type sseKernel struct {
 	fn sseFn
 	// width is the byte width of the instruction's memory operand, source or
 	// destination.
 	width int
 	mem   sseMem
-	dst   sseDst
+	// alt is the entry of the opcode's other form, for the four opcodes whose
+	// meaning depends on an operand: movhpd with a memory destination (it
+	// stores the high lane), and cvtsi2sd, cvtsi2ss and cvttsd2si with a
+	// 4-byte integer operand.
+	alt *sseKernel
 }
 
-// sseOp returns the kernel entry of in's opcode; fn is nil for an opcode
-// outside the kernel. The entry depends on the operands where the opcode's
-// meaning does: the direction of movhpd, the integer width of the
-// conversions.
-func sseOp(in *x86.Inst) sseKernel {
+// sseOp returns the kernel entry of in's opcode, or nil for an opcode
+// outside the kernel. It is a table read, plus one operand test for the
+// opcodes with an alt form: a memory destination or a 4-byte operand
+// selects it (no other operand of these four opcodes is 4 bytes wide).
+func sseOp(in *x86.Inst) *sseKernel {
 	if int(in.Op) >= len(sseTable) {
-		return sseKernel{}
+		return nil
 	}
-	k := sseTable[in.Op]
-	switch in.Op {
-	case x86.MOVHPD:
-		if in.Dst.Kind == x86.KMem {
-			k.fn = sseHiToLo
-		}
-	case x86.CVTSI2SD, x86.CVTSI2SS:
-		k.width = int(in.Src.Size)
-		if in.Src.Size == 4 && in.Op == x86.CVTSI2SD {
-			k.fn = sseCvtsi2sd32
-		} else if in.Src.Size == 4 {
-			k.fn = sseCvtsi2ss32
-		}
-	case x86.CVTTSD2SI:
-		if in.Dst.Size == 4 {
-			k.fn = sseCvttsd2si32
-		}
+	k := &sseTable[in.Op]
+	if k.alt != nil && (in.Dst.Kind == x86.KMem || in.Src.Size == 4 || in.Dst.Size == 4) {
+		k = k.alt
 	}
-	switch {
-	case in.Dst.Kind == x86.KMem:
-		k.dst = sseToMem
-	case !in.Dst.Reg.IsXMM():
-		k.dst = sseToGP
+	if k.fn == nil {
+		return nil
 	}
 	return k
 }
@@ -104,7 +82,7 @@ var sseTable = [...]sseKernel{
 	x86.MOVQ:    {fn: sseMovQ, width: 8},
 	x86.MOVQGP:  {fn: sseMovQ, width: 8},
 	x86.MOVD:    {fn: sseMovD, width: 4},
-	x86.MOVHPD:  {fn: sseMovHi, width: 8},
+	x86.MOVHPD:  {fn: sseMovHi, width: 8, alt: &sseKernel{fn: sseHiToLo, width: 8}},
 	x86.MOVLPD:  {fn: sseMovLo64, width: 8},
 
 	x86.ADDSD:  {fn: sseAddsd, width: 8},
@@ -150,18 +128,16 @@ var sseTable = [...]sseKernel{
 	x86.SHUFPS:     {fn: sseShufps, width: 16},
 	x86.PSHUFD:     {fn: ssePshufd, width: 16},
 
-	// The widths of cvtsi2sd/cvtsi2ss and the 32-bit forms of the integer
-	// conversions are set by sseOp.
-	x86.CVTSI2SD:  {fn: sseCvtsi2sd64},
-	x86.CVTSI2SS:  {fn: sseCvtsi2ss64},
-	x86.CVTTSD2SI: {fn: sseCvttsd2si64, width: 8},
+	x86.CVTSI2SD:  {fn: sseCvtsi2sd64, width: 8, alt: &sseKernel{fn: sseCvtsi2sd32, width: 4}},
+	x86.CVTSI2SS:  {fn: sseCvtsi2ss64, width: 8, alt: &sseKernel{fn: sseCvtsi2ss32, width: 4}},
+	x86.CVTTSD2SI: {fn: sseCvttsd2si64, width: 8, alt: &sseKernel{fn: sseCvttsd2si32, width: 8}},
 	x86.CVTSD2SS:  {fn: sseCvtsd2ss, width: 8},
 	x86.CVTSS2SD:  {fn: sseCvtss2sd, width: 4},
 	x86.COMISD:    {fn: sseComisd, width: 8},
 	x86.UCOMISD:   {fn: sseComisd, width: 8},
 	x86.COMISS:    {fn: sseComiss, width: 4},
 	x86.UCOMISS:   {fn: sseComiss, width: 4},
-	x86.MOVMSKPD:  {fn: sseMovmskpd, width: 16},
+	x86.MOVMSKPD:  {fn: sseMovmskpd}, // a register source only
 }
 
 // AddF64, SubF64, MulF64 and DivF64 are the double-precision arithmetic of
@@ -321,7 +297,8 @@ func ssePshufd(_, s XMMReg, sel uint8, _ *Flags) XMMReg {
 	return FromLanes32([4]uint32{sl[sel&3], sl[sel>>2&3], sl[sel>>4&3], sl[sel>>6&3]})
 }
 
-// Conversions. The integer side is 32 or 64 bits wide, chosen by sseOp.
+// Conversions. The integer side is 32 or 64 bits wide; sseOp picks the
+// form.
 
 func sseCvtsi2sd32(d, s XMMReg, _ uint8, _ *Flags) XMMReg {
 	return withF64(d, float64(int32(s.Lo)))

@@ -186,7 +186,7 @@ var sseAddrs = []uint64{sseBufAt + 8, sseBufAt, sseBufAt + 44, sseBufAt + sseBuf
 func TestSSEKernelEngines(t *testing.T) {
 	for op := x86.MOVSD_X; op <= x86.MOVMSKPD; op++ {
 		in := x86.Inst{Op: op, Dst: x86.X(x86.XMM0), Src: x86.X(x86.XMM1)}
-		if sseOp(&in).fn == nil {
+		if sseOp(&in) == nil {
 			t.Errorf("%v has no SSE kernel entry", op)
 		}
 	}

@@ -772,6 +772,9 @@ func (d *decodeState) decode0F() (Inst, error) {
 		if err != nil {
 			return Inst{}, err
 		}
+		if rm.Kind != KMem { // x86 raises #UD for the register forms
+			return Inst{}, d.fail("movlpd/movhpd with a register operand")
+		}
 		x := xmmreg(reg, d.regExtR())
 		if opc == 0x12 || opc == 0x16 {
 			return Inst{Op: op, Dst: x, Src: rm}, nil
@@ -856,6 +859,9 @@ func (d *decodeState) decode0F() (Inst, error) {
 		reg, rm, err := d.modRM(16, true)
 		if err != nil {
 			return Inst{}, err
+		}
+		if rm.Kind != KReg { // x86 raises #UD for a memory source
+			return Inst{}, d.fail("movmskpd with a memory operand")
 		}
 		return Inst{Op: MOVMSKPD, Dst: d.gpreg(reg, d.regExtR(), size), Src: rm}, nil
 

@@ -261,6 +261,10 @@ func TestDecodeErrors(t *testing.T) {
 		{0x0F, 0xFF}, // unsupported 0F opcode
 		{0xE9, 0x01}, // truncated rel32
 		{0x8B},       // missing modrm
+		// SSE forms x86 raises #UD for
+		{0x66, 0x0F, 0x50, 0x07}, // movmskpd eax, [rdi]
+		{0x66, 0x0F, 0x12, 0xC1}, // movlpd xmm0, xmm1
+		{0x66, 0x0F, 0x17, 0xC1}, // movhpd xmm1, xmm0
 	}
 	for _, c := range cases {
 		if _, err := Decode(c, 0); err == nil {
