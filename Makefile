@@ -132,7 +132,8 @@ cover:
 # the artifact store's Open and Get over arbitrary segment bytes, of the
 # trace tier's per-binade cycle replay against the step-by-step sum, of
 # DBrew's constant folding of integer instructions against the interpreter,
-# and of one SSE instruction on the block engine against the interpreter.
+# of one SSE instruction on the block engine against the interpreter, and
+# of one flag writer leaving a traced loop against the interpreter.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=30s ./internal/crosstest
 	$(GO) test -run='^$$' -fuzz=FuzzLayoutPlace -fuzztime=10s ./internal/x86/asm
@@ -140,3 +141,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReplayIters -fuzztime=10s ./internal/emu
 	$(GO) test -run='^$$' -fuzz=FuzzFoldMatchesInterp -fuzztime=10s ./internal/dbrew
 	$(GO) test -run='^$$' -fuzz=FuzzSSEEngines -fuzztime=10s ./internal/emu
+	$(GO) test -run='^$$' -fuzz=FuzzTraceExitFlags -fuzztime=10s ./internal/jit

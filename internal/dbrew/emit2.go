@@ -192,7 +192,8 @@ func (e *emitterState) execInt(st *mstate, in *x86.Inst, a, b, out x86.Operand) 
 			fx.Src = x86.Imm(int64(bv), b.Size)
 		}
 		if read, _ := fx.FlagEffects(); read&^st.flags.known == 0 {
-			res, f, defined, write := emu.Int(in, av, bv, emu.FlagState(st.flags.f))
+			f := emu.FlagState(st.flags.f)
+			res, defined, write := emu.Int(in, av, bv, &f)
 			switch {
 			case !write, out.Kind == x86.KReg && st.writeKnown(out.Reg, out.Size, res):
 				e.rw.Stats.Eliminated++

@@ -269,7 +269,7 @@ func checkFold(t *testing.T, s foldShape, a, b, carry uint64) {
 		}
 		return a
 	}
-	_, _, defined, _ := emu.Int(&in, val(x), val(y), emu.Flags{CF: carry != 0})
+	_, defined, _ := emu.Int(&in, val(x), val(y), &emu.Flags{CF: carry != 0})
 	fx := in // a shift by CL writes the flags of its count
 	if y.Kind == x86.KReg {
 		fx.Src = x86.Imm(int64(b), 1)

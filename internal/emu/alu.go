@@ -98,16 +98,25 @@ func IntOperands(in *x86.Inst) (a, b, out x86.Operand, ok bool) {
 }
 
 // Int evaluates the integer-kernel instruction in on the values a and b of
-// the operands IntOperands names, with the flags f before it. It returns the
-// value it writes, the flags after it, and the flags it defined from its
-// inputs: of the others, those x86 leaves undefined carry the emulator's
-// choice and those it does not write keep f's values. write is false when
-// the destination is left alone: by CMP and TEST, and by a shift or rotate
-// whose masked count is 0.
-func Int(in *x86.Inst, a, b uint64, f Flags) (res uint64, out Flags, defined x86.FlagSet, write bool) {
+// the operands IntOperands names, with the flags *f before it, and leaves
+// the flags after it in *f. It returns the value it writes and the flags it
+// defined from its inputs: of the others, those x86 leaves undefined carry
+// the emulator's choice and those it does not write keep their values.
+// write is false when the destination is left alone: by CMP and TEST, and
+// by a shift or rotate whose masked count is 0.
+func Int(in *x86.Inst, a, b uint64, f *Flags) (res uint64, defined x86.FlagSet, write bool) {
 	fn, x, _, _ := intOp(in)
-	res, defined, write = fn(a, b, x.Size, &f)
-	return res, f, defined, write
+	return fn(a, b, x.Size, f)
+}
+
+// IntKept returns the flags Int passes through from its incoming state when
+// it evaluates in on a and b: those that come out different from two
+// incoming states that differ in every flag.
+func IntKept(in *x86.Inst, a, b uint64) x86.FlagSet {
+	f0, f1 := Flags{}, FlagState(x86.AllFlags)
+	Int(in, a, b, &f0)
+	Int(in, a, b, &f1)
+	return f0.Set() ^ f1.Set()
 }
 
 // incFlags are the flags inc and dec define; they keep CF.
@@ -177,14 +186,33 @@ func intDec(a, _ uint64, sz uint8, f *Flags) (uint64, x86.FlagSet, bool) {
 }
 
 // intIMul is the truncating signed multiply. CF and OF report that the
-// product does not fit the operand width; x86 leaves ZF, SF and PF
-// undefined (the emulator sets them from the result) and AF is kept.
+// product does not fit the operand width: below 8 bytes the product is
+// exact in int64, at 8 bytes it fits when its signed high word is the sign
+// of its low word. x86 leaves ZF, SF and PF undefined (the emulator sets
+// them from the result) and AF is kept.
 func intIMul(a, b uint64, sz uint8, f *Flags) (uint64, x86.FlagSet, bool) {
-	full := signExtend(a, sz) * signExtend(b, sz)
+	sa, sb := signExtend(a, sz), signExtend(b, sz)
+	full := sa * sb
 	res := trunc(uint64(full), sz)
 	ov := signExtend(res, sz) != full
+	if sz == 8 {
+		ov = mulHi(sa, sb) != full>>63
+	}
 	f.CF, f.PF, f.ZF, f.SF, f.OF = ov, parity(res), res == 0, signBit(res, sz), ov
 	return res, x86.FlagCF | x86.FlagOF, true
+}
+
+// mulHi returns the high 64 bits of the signed 128-bit product a*b: the
+// unsigned high word, less b for a negative a and a for a negative b.
+func mulHi(a, b int64) int64 {
+	hi, _ := bits.Mul64(uint64(a), uint64(b))
+	if a < 0 {
+		hi -= uint64(b)
+	}
+	if b < 0 {
+		hi -= uint64(a)
+	}
+	return int64(hi)
 }
 
 // intPopcnt clears every flag but ZF, which is set for a zero source.
@@ -339,26 +367,11 @@ func subBorrow(a, b, c uint64, sz uint8, f *Flags) uint64 {
 	return res
 }
 
-// FlagsOfAdd returns the flag state after a + b at the given width.
-func FlagsOfAdd(a, b uint64, size uint8) Flags {
-	var f Flags
-	addCarry(a, b, 0, size, &f)
-	return f
-}
-
 // FlagsOfSub returns the flag state after a - b (also cmp) at the given
 // width.
 func FlagsOfSub(a, b uint64, size uint8) Flags {
 	var f Flags
 	subBorrow(a, b, 0, size, &f)
-	return f
-}
-
-// FlagsOfLogic returns the flag state after an and/or/xor/test of the given
-// result width: ZF, SF and PF from the result, the others clear.
-func FlagsOfLogic(res uint64, size uint8) Flags {
-	var f Flags
-	logic(res, size, &f)
 	return f
 }
 

@@ -23,7 +23,8 @@ func TestIntCarryFlags(t *testing.T) {
 				for _, b := range edges {
 					for _, cf := range []bool{false, true} {
 						in := x86.Inst{Op: op, Dst: x86.RegOp(x86.RAX, sz), Src: x86.RegOp(x86.RCX, sz)}
-						res, f, _, _ := Int(&in, a, b, Flags{CF: cf})
+						f := Flags{CF: cf}
+						res, _, _ := Int(&in, a, b, &f)
 						c := int64(0)
 						if cf && (op == x86.ADC || op == x86.SBB) {
 							c = 1
@@ -60,4 +61,49 @@ func wide(a, b uint64, c int64, signed, sub bool) *big.Int {
 		return x.Sub(x, y).Sub(x, big.NewInt(c))
 	}
 	return x.Add(x, y).Add(x, big.NewInt(c))
+}
+
+// TestIntIMulOverflow holds the kernel's truncating multiply to what the
+// hardware reports: CF = OF = 1 exactly when the signed product does not
+// fit the operand width. The 8-byte rows are the ones a product computed
+// in int64 gets wrong, since there every product "fits".
+func TestIntIMulOverflow(t *testing.T) {
+	const min64 = 0x8000000000000000
+	rows := []struct {
+		op    x86.Op
+		sz    uint8
+		a, b  uint64
+		res   uint64
+		ovflo bool
+	}{
+		{x86.IMUL, 8, 1 << 32, 1 << 32, 0, true},
+		{x86.IMUL, 8, 1 << 32, 1 << 31, min64, true},
+		{x86.IMUL, 8, -(1 << 32) & (1<<64 - 1), 1 << 31, min64, false},
+		{x86.IMUL, 8, 1 << 32, 1<<32 - 1, 0xFFFFFFFF00000000, true},
+		{x86.IMUL, 8, 0x7FFFFFFFFFFFFFFF, 2, 0xFFFFFFFFFFFFFFFE, true},
+		{x86.IMUL, 8, min64, 1<<64 - 1, min64, true},
+		{x86.IMUL, 8, min64, 1, min64, false},
+		{x86.IMUL, 8, 1<<64 - 1, 1<<64 - 1, 1, false},
+		{x86.IMUL, 8, 0x100000001, 0xFFFFFFFF, 1<<64 - 1, true},
+		{x86.IMUL, 8, 1<<64 - 3, 5, 1<<64 - 15, false},
+		{x86.IMUL3, 8, 0x4000000000000000, 2, min64, true},
+		{x86.IMUL3, 8, 0x4000000000000000, 1<<64 - 2, min64, false},
+		{x86.IMUL, 4, 1 << 16, 1 << 16, 0, true},
+		{x86.IMUL, 4, 0xFFFFFFFF, 0xFFFFFFFF, 1, false},
+		{x86.IMUL, 4, 0x80000000, 0xFFFFFFFF, 0x80000000, true},
+		{x86.IMUL, 2, 1 << 8, 1 << 8, 0, true},
+		{x86.IMUL, 2, 0xFF00, 0x80, 0x8000, false},
+	}
+	for _, r := range rows {
+		in := x86.Inst{Op: r.op, Dst: x86.RegOp(x86.RAX, r.sz), Src: x86.RegOp(x86.RCX, r.sz)}
+		if r.op == x86.IMUL3 {
+			in.Src, in.Src2 = x86.RegOp(x86.RCX, r.sz), x86.Imm(int64(r.b), r.sz)
+		}
+		f := Flags{AF: true}
+		res, defined, _ := Int(&in, r.a, r.b, &f)
+		if res != r.res || f.CF != r.ovflo || f.OF != r.ovflo || !f.AF || defined != x86.FlagCF|x86.FlagOF {
+			t.Errorf("%v width %d %#x * %#x: %#x CF=%v OF=%v AF=%v defined %v, want %#x CF=OF=%v AF kept",
+				r.op, r.sz, r.a, r.b, res, f.CF, f.OF, f.AF, defined, r.res, r.ovflo)
+		}
+	}
 }

@@ -23,7 +23,8 @@ type CostModel struct {
 	// not 16-byte aligned (even within one line).
 	UnalignedVecPenalty float64
 
-	opCost map[x86.Op]float64
+	// opCost is the cost of each opcode; one it leaves at 0 costs def.
+	opCost [x86.OpCount]float64
 	def    float64
 }
 
@@ -36,7 +37,7 @@ func HaswellModel() *CostModel {
 		UnalignedVecPenalty: 0.25,
 		def:                 1.0,
 	}
-	c.opCost = map[x86.Op]float64{
+	c.opCost = [x86.OpCount]float64{
 		// Data movement: handled by rename/AGU, cheap.
 		x86.MOV: 0.33, x86.MOVZX: 0.33, x86.MOVSX: 0.33, x86.MOVSXD: 0.33,
 		x86.LEA: 0.5, x86.NOP: 0.1, x86.ENDBR64: 0.1,
@@ -94,14 +95,15 @@ func HaswellModel() *CostModel {
 // InstCost returns the cycle cost of one retired instruction, excluding
 // memory penalties (charged separately per access).
 func (c *CostModel) InstCost(in *x86.Inst) float64 {
-	if v, ok := c.opCost[in.Op]; ok {
-		// Memory-operand forms carry an extra AGU/load micro-op.
-		if in.Src.Kind == x86.KMem || in.Dst.Kind == x86.KMem {
-			return v + 0.5
-		}
-		return v
+	v := c.opCost[in.Op]
+	if v == 0 {
+		return c.def
 	}
-	return c.def
+	// Memory-operand forms carry an extra AGU/load micro-op.
+	if in.Src.Kind == x86.KMem || in.Dst.Kind == x86.KMem {
+		return v + 0.5
+	}
+	return v
 }
 
 // MemPenalty returns the extra cost of a memory access at addr of the given

@@ -26,7 +26,9 @@ func haswellCosts() []float64 {
 	c := HaswellModel()
 	seen := map[float64]bool{c.def: true, c.def + 0.5: true}
 	for _, v := range c.opCost {
-		seen[v], seen[v+0.5] = true, true
+		if v != 0 {
+			seen[v], seen[v+0.5] = true, true
+		}
 	}
 	out := make([]float64, 0, len(seen))
 	for v := range seen {

@@ -209,15 +209,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func vtrunc(v uint64, size uint8) uint64 { return v & vmask(size*8) }
-
-func vsignBit(v uint64, size uint8) bool { return v>>(uint(size)*8-1)&1 != 0 }
-
-func vsext(v uint64, size uint8) int64 {
-	sh := 64 - uint(size)*8
-	return int64(v<<sh) >> sh
-}
-
 // run executes the trace. See emu.TraceRunFunc for the contract; the caller
 // guarantees iterCap >= 1, so the first header cap-check never fires before
 // an iteration has completed and the loop-carried phis hold real values.
@@ -420,8 +411,8 @@ func (p *vmProg) applyMoves(idx int32, slots []uint64) {
 
 // takeExit materializes the architectural state of exit idx onto the
 // machine: written-back registers (both lanes of an XMM register), the six
-// flags recomputed from the exit's symbolic recipe, and the (iters, steps,
-// rip) triple for the dispatcher.
+// flags recomputed by the integer kernel from the exit's last flag writer,
+// and the (iters, steps, rip) triple for the dispatcher.
 func (p *vmProg) takeExit(m *emu.Machine, idx int32, slots []uint64) (uint64, uint64, uint64) {
 	e := &p.exits[idx]
 	for i, ri := range p.regIdx {
@@ -430,55 +421,28 @@ func (p *vmProg) takeExit(m *emu.Machine, idx int32, slots []uint64) (uint64, ui
 	for i, ri := range p.xmmIdx {
 		m.XMM[ri] = emu.XMMReg{Lo: slots[e.xmmSlots[2*i]], Hi: slots[e.xmmSlots[2*i+1]]}
 	}
-	fs := e.flagSlots
-	st := e.st
-	switch st.Kind {
-	case lift.TFExplicit:
-		m.Flags = emu.Flags{
-			CF: slots[fs[0]] != 0, PF: slots[fs[1]] != 0, AF: slots[fs[2]] != 0,
-			ZF: slots[fs[3]] != 0, SF: slots[fs[4]] != 0, OF: slots[fs[5]] != 0,
+	// The args after the writer's kernel inputs are the flags it passes
+	// through; the kernel computes the rest, all six when it keeps none.
+	fs, st := e.flagSlots, e.st
+	nIn := len(fs) - bits.OnesCount8(uint8(st.Keep))
+	if st.Keep != 0 {
+		var kept x86.FlagSet
+		for i, k := 0, nIn; i < 6; i++ {
+			if st.Keep&(1<<i) != 0 {
+				if slots[fs[k]] != 0 {
+					kept |= 1 << i
+				}
+				k++
+			}
 		}
-	case lift.TFAdd:
-		m.Flags = emu.FlagsOfAdd(slots[fs[0]], slots[fs[1]], st.W)
-	case lift.TFSub:
-		m.Flags = emu.FlagsOfSub(slots[fs[0]], slots[fs[1]], st.W)
-	case lift.TFAddCF:
-		f := emu.FlagsOfAdd(slots[fs[0]], slots[fs[1]], st.W)
-		f.CF = slots[fs[2]] != 0
-		m.Flags = f
-	case lift.TFSubCF:
-		f := emu.FlagsOfSub(slots[fs[0]], slots[fs[1]], st.W)
-		f.CF = slots[fs[2]] != 0
-		m.Flags = f
-	case lift.TFLogic:
-		m.Flags = emu.FlagsOfLogic(slots[fs[0]], st.W)
-	case lift.TFShift:
-		v, res := slots[fs[0]], slots[fs[1]]
-		f := emu.FlagsOfLogic(res, st.W)
-		f.AF = slots[fs[2]] != 0
-		width := uint64(st.W) * 8
-		cnt := uint64(st.ShiftCnt)
-		switch st.ShiftOp {
-		case x86.SHL:
-			f.CF = cnt <= width && v>>(width-cnt)&1 != 0
-		case x86.SAR: // the sign bit once cnt reaches the width
-			f.CF = vsext(v, st.W)>>(cnt-1)&1 != 0
-		default:
-			f.CF = v>>(cnt-1)&1 != 0
+		m.Flags = emu.FlagState(kept)
+	}
+	if st.In != nil {
+		var b uint64
+		if nIn == 2 {
+			b = slots[fs[1]]
 		}
-		if cnt == 1 {
-			f.OF = vsignBit(res, st.W) != vsignBit(v, st.W)
-		} else {
-			f.OF = slots[fs[3]] != 0
-		}
-		m.Flags = f
-	case lift.TFMul:
-		full := slots[fs[0]]
-		f := emu.FlagsOfLogic(full, st.W)
-		f.CF = vsext(vtrunc(full, st.W), st.W) != int64(full)
-		f.OF = f.CF
-		f.AF = slots[fs[1]] != 0
-		m.Flags = f
+		emu.Int(st.In, slots[fs[0]], b, &m.Flags)
 	}
 	return slots[e.ctrSlot], st.Steps, st.RIP
 }
@@ -719,7 +683,7 @@ func (b *vmBuilder) exitFor(call *ir.Inst) (int32, error) {
 		return 0, fmt.Errorf("jit: trace VM: call %s is not a registered exit", call.Callee.Nam)
 	}
 	nreg, nxmm := len(b.prog.RegIdx), 2*len(b.prog.XMMIdx)
-	if want := nreg + nxmm + st.NArgs + 1; len(call.Args) != want {
+	if want := nreg + nxmm + st.NArgs() + 1; len(call.Args) != want {
 		return 0, fmt.Errorf("jit: trace VM: exit %s has %d args, want %d", call.Callee.Nam, len(call.Args), want)
 	}
 	e := vmExit{st: st}
@@ -733,7 +697,7 @@ func (b *vmBuilder) exitFor(call *ir.Inst) (int32, error) {
 			e.regSlots = append(e.regSlots, s)
 		case i < nreg+nxmm:
 			e.xmmSlots = append(e.xmmSlots, s)
-		case i < nreg+nxmm+st.NArgs:
+		case i < nreg+nxmm+st.NArgs():
 			e.flagSlots = append(e.flagSlots, s)
 		default:
 			e.ctrSlot = s

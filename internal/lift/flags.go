@@ -9,8 +9,10 @@ import (
 // instruction, following Section III.D of the paper: zero/sign/carry via
 // integer comparisons, overflow via the bitwise xor/and/slt pattern
 // (Figure 6b), parity via the ctpop intrinsic, and auxiliary carry via
-// bitwise operations. A flag dead after the instruction gets no IR.
-func (l *Lifter) setArithFlags(s *state, w x86.FlagSet, isSub bool, a, b, res ir.Value) {
+// bitwise operations. cin is the incoming carry of adc and sbb (res = a + b
+// + cin or a - b - cin), nil for the others. A flag dead after the
+// instruction gets no IR.
+func (l *Lifter) setArithFlags(s *state, w x86.FlagSet, isSub bool, a, b, res, cin ir.Value) {
 	ty := res.Type()
 	zero := ir.Int(ty, 0)
 	w &^= s.dead
@@ -21,11 +23,17 @@ func (l *Lifter) setArithFlags(s *state, w x86.FlagSet, isSub bool, a, b, res ir
 		s.setFlag(fSF, l.b.ICmp(ir.PredSLT, res, zero))
 	}
 	if w&x86.FlagCF != 0 {
+		// With a carry in, an operand equal to the result (add) or to the
+		// other operand (sub) carries out as well.
+		x, y := res, a
 		if isSub {
-			s.setFlag(fCF, l.b.ICmp(ir.PredULT, a, b))
-		} else {
-			s.setFlag(fCF, l.b.ICmp(ir.PredULT, res, a))
+			x, y = a, b
 		}
+		cf := ir.Value(l.b.ICmp(ir.PredULT, x, y))
+		if cin != nil {
+			cf = l.b.Or(cf, l.b.And(cin, l.b.ICmp(ir.PredEQ, x, y)))
+		}
+		s.setFlag(fCF, cf)
 	}
 	if w&x86.FlagOF != 0 {
 		var t1, t2 ir.Value
@@ -68,14 +76,41 @@ func (l *Lifter) setLogicFlags(s *state, res ir.Value) {
 	s.fc = flagCache{valid: true, a: res, b: zero}
 }
 
-// setResultFlagsOnly sets ZF/SF/PF from a result and leaves CF/OF undefined
-// (adc, sbb, imul), invalidating the flag cache.
-func (l *Lifter) setResultFlagsOnly(s *state, res ir.Value) {
+// setMulFlags sets the flags of the truncating signed multiply res = a*b:
+// CF and OF report that the product does not fit the width, ZF/SF/PF
+// follow the result as the emulator sets them, and AF, which x86 leaves
+// undefined, is undef. It invalidates the flag cache.
+func (l *Lifter) setMulFlags(s *state, a, b, res ir.Value) {
 	l.setResultFlags(s, res)
-	s.setFlag(fCF, ir.UndefOf(ir.I1))
-	s.setFlag(fOF, ir.UndefOf(ir.I1))
+	if s.dead&(x86.FlagCF|x86.FlagOF) != x86.FlagCF|x86.FlagOF {
+		var ov ir.Value
+		if res.Type().Bits == 64 {
+			ov = mulOverflow64(l.b, a, b)
+		} else {
+			full := l.b.Mul(l.b.SExt(a, ir.I64), l.b.SExt(b, ir.I64))
+			ov = l.b.ICmp(ir.PredNE, l.b.SExt(res, ir.I64), full)
+		}
+		s.setFlag(fCF, ov)
+		s.setFlag(fOF, ov)
+	}
 	s.setFlag(fAF, ir.UndefOf(ir.I1))
 	s.fc = flagCache{}
+}
+
+// mulOverflow64 builds the i1 that the signed product of the i64 values x
+// and y does not fit 64 bits. The IR has no widening multiply, so the
+// unsigned high word comes from 32-bit partial products; less y for a
+// negative x and x for a negative y, it is the signed high word, and the
+// product fits when that is the sign of the low word.
+func mulOverflow64(b *ir.Builder, x, y ir.Value) ir.Value {
+	c32, c63, lo := ir.Int(ir.I64, 32), ir.Int(ir.I64, 63), ir.Int(ir.I64, 0xFFFFFFFF)
+	x0, x1 := b.And(x, lo), b.LShr(x, c32)
+	y0, y1 := b.And(y, lo), b.LShr(y, c32)
+	p00, p01, p10 := b.Mul(x0, y0), b.Mul(x0, y1), b.Mul(x1, y0)
+	mid := b.Add(b.Add(b.LShr(p00, c32), b.And(p01, lo)), b.And(p10, lo))
+	hi := b.Add(b.Add(b.Mul(x1, y1), b.LShr(p01, c32)), b.Add(b.LShr(p10, c32), b.LShr(mid, c32)))
+	hi = b.Sub(b.Sub(hi, b.And(b.AShr(x, c63), y)), b.And(b.AShr(y, c63), x))
+	return b.ICmp(ir.PredNE, hi, b.AShr(b.Mul(x, y), c63))
 }
 
 // setResultFlags sets the live ones of ZF/SF/PF from a result.

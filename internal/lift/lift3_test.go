@@ -193,6 +193,52 @@ func TestLiftAdcSbb(t *testing.T) {
 			t.Errorf("adc in=%v: lifted %#x != machine %#x", in, lifted, got)
 		}
 	}
+	// Carry out of adc: -1 + 0 + CF carries out exactly when the add did,
+	// and the second adc returns that carry.
+	mem = buildFunc(t, func(b *asm.Builder) {
+		b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+		b.I(x86.ADD, x86.R64(x86.RAX), x86.R64(x86.RSI))
+		b.I(x86.MOV, x86.R64(x86.RCX), x86.Imm(-1, 8))
+		b.I(x86.ADC, x86.R64(x86.RCX), x86.Imm(0, 8))
+		b.I(x86.MOV, x86.R64(x86.RDX), x86.Imm(0, 8))
+		b.I(x86.ADC, x86.R64(x86.RDX), x86.Imm(0, 8))
+		b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDX))
+		b.Ret()
+	})
+	for _, in := range [][3]uint64{{^uint64(0), 1, 1}, {1, 2, 0}} {
+		got, lifted := crossCheck(t, mem, sig, DefaultOptions(), in[:2], nil)
+		if got != in[2] || lifted != got {
+			t.Errorf("adc carry out in=%v: lifted %d, machine %d, want %d", in[:2], lifted, got, in[2])
+		}
+	}
+}
+
+// TestLiftImulOverflow: seto after imul reads the overflow of the signed
+// product, at 32 bits from the sign-extended product and at 64 bits from
+// its high word.
+func TestLiftImulOverflow(t *testing.T) {
+	sig := abi.Signature{Params: []abi.Class{abi.ClassInt, abi.ClassInt}, Ret: abi.ClassInt}
+	for _, c := range []struct {
+		size uint8
+		rows [][3]uint64
+	}{
+		{4, [][3]uint64{{1 << 16, 1 << 16, 1}, {1 << 15, 1 << 15, 0}, {0xFFFFFFFF, 0x80000000, 1}, {3, 5, 0}}},
+		{8, [][3]uint64{{1 << 32, 1 << 32, 1}, {1 << 32, 1 << 31, 1}, {0xFFFFFFFF00000000, 1 << 31, 0}, {^uint64(0), 1 << 63, 1}, {3, 5, 0}}},
+	} {
+		mem := buildFunc(t, func(b *asm.Builder) {
+			b.I(x86.MOV, x86.R64(x86.RAX), x86.R64(x86.RDI))
+			b.I(x86.IMUL, x86.RegOp(x86.RAX, c.size), x86.RegOp(x86.RSI, c.size))
+			b.Emit(x86.Inst{Op: x86.SETCC, Cond: x86.CondO, Dst: x86.R8L(x86.RAX)})
+			b.I(x86.MOVZX, x86.R32(x86.RAX), x86.R8L(x86.RAX))
+			b.Ret()
+		})
+		for _, in := range c.rows {
+			got, lifted := crossCheck(t, mem, sig, DefaultOptions(), in[:2], nil)
+			if got != in[2] || lifted != got {
+				t.Errorf("imul%d; seto in=%#x: lifted %d, machine %d, want %d", c.size*8, in[:2], lifted, got, in[2])
+			}
+		}
+	}
 }
 
 // TestLiftSbbBorrowChain: sbb with the borrow flag from a preceding sub.

@@ -143,7 +143,7 @@ func TestShiftFlagsOracle(t *testing.T) {
 				for _, cf0 := range []bool{false, true} {
 					a := in[0]
 					want := nativeFlags(t, op, a, b, cf0)
-					got := liftedFlags(t, op, a, b, cf0)
+					got := liftedFlags(t, op, a, b, cf0, x86.AllFlags)
 					wantBits := [numFlags]bool{want.CF, want.PF, want.AF, want.ZF, want.SF, want.OF}
 					if got != wantBits {
 						t.Errorf("%v with rax=%#x rcx=%#x cf0=%v: lifted %v, emulator %v", op, a, b, cf0, got, wantBits)

@@ -2,6 +2,7 @@ package lift
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/emu"
 	"repro/internal/ir"
@@ -29,14 +30,16 @@ import (
 // instruction — optimization passes rewrite arguments but never clone or
 // remove a side-effecting call, so the keys stay stable.
 //
-// Flags are LAZY: no per-iteration flag IR is emitted. The lifter tracks a
-// symbolic recipe (last flag-writing operation and its operands) and exits
-// carry the recipe's inputs; the VM recomputes the six flags once, at exit,
-// using the emulator's own flag helpers. Loop-carried flag state uses six
-// explicit i1 phis whose backedge values materialize the final recipe —
-// they are emitted unconditionally and dead-code-eliminated whenever no
-// exit or in-body condition consumes pre-first-flag-write state, which is
-// the common case.
+// Flags are LAZY: no per-iteration flag IR is emitted. The lifter tracks
+// the last flag-writing instruction, the IR values of its inputs to the
+// integer kernel (the operands emu.IntOperands names) and one i1 for each
+// flag the kernel passes through from the state before it (INC/DEC's CF, a
+// shift's AF and, above a count of 1, its OF, IMUL's AF). Exits carry those
+// values, and the VM recomputes the six flags once, at exit, with one
+// emu.Int call. Loop-carried flag state uses six explicit i1 phis whose
+// backedge values materialize the final state — they are emitted
+// unconditionally and dead-code-eliminated whenever no exit or in-body
+// condition consumes pre-first-flag-write state, which is the common case.
 //
 // XMM registers are modelled as a pair of i64 lanes (lo, hi) beside the 16
 // GPRs: live-in parameters, header phis and exit arguments per written
@@ -50,8 +53,8 @@ import (
 // fadd/fsub/fmul/fdiv on the bitcast lanes — the low lane, or each lane in
 // turn with the destination's lane as the first operand — with no fast-math
 // flag, so the optimizer may fold nothing the hardware would not compute.
-// None of them touches the flags. The flag-writing compares stay out because
-// they need a flag recipe of their own.
+// None of them touches the flags. The flag-writing compares stay out: an exit
+// recomputes flags through the integer kernel, which has no entry for them.
 //
 // A trace may run through direct calls and their returns. CALL, PUSH r64,
 // POP r64 and RET lower onto the same 8-byte intrinsics at rsp: CALL stores
@@ -74,35 +77,10 @@ import (
 // the emulator does, so that neither a fault nor a penalty of an untaken
 // move exists in the trace.
 
-// TraceFlagKind identifies the symbolic flag recipe at an exit.
-type TraceFlagKind uint8
-
-// Flag recipe kinds. The comment lists the dynamic args carried by an exit.
-const (
-	// TFExplicit: args cf, pf, af, zf, sf, of (i1) — write all six directly.
-	TFExplicit TraceFlagKind = iota
-	// TFAdd: args a, b — FlagsOfAdd(a, b, w).
-	TFAdd
-	// TFSub: args a, b — FlagsOfSub(a, b, w).
-	TFSub
-	// TFAddCF: args a, b, cf — FlagsOfAdd with CF forced (INC).
-	TFAddCF
-	// TFSubCF: args a, b, cf — FlagsOfSub with CF forced (DEC, NEG).
-	TFSubCF
-	// TFLogic: args res — FlagsOfLogic(res, w).
-	TFLogic
-	// TFShift: args v, res, af and, when ShiftCnt != 1, of. CF comes from
-	// v and the static count, OF from the sign bits when ShiftCnt == 1.
-	TFShift
-	// TFMul: args full, af — IMUL's CF=OF overflow test on the full
-	// product, result flags from the truncated product.
-	TFMul
-)
-
 // TraceExit is the static side of one exit call. Argument layout of the
 // call: current values of Prog.RegIdx registers in order, then the (lo, hi)
-// lanes of Prog.XMMIdx registers in order, then NArgs flag recipe args, then
-// the iteration counter.
+// lanes of Prog.XMMIdx registers in order, then NArgs flag args, then the
+// iteration counter.
 type TraceExit struct {
 	// Steps is the number of instructions of the current iteration retired
 	// before the exit (0 for loop-header exits; k for a deopt before
@@ -111,12 +89,17 @@ type TraceExit struct {
 	// RIP is the address the block engine resumes at.
 	RIP uint64
 
-	Kind     TraceFlagKind
-	W        uint8 // flag operand width in bytes
-	ShiftOp  x86.Op
-	ShiftCnt uint8
-	NArgs    int
+	// In is the last flag-writing instruction before the exit, nil when the
+	// iteration has not written a flag yet. The flag args are its kernel
+	// inputs (emu.IntOperands' a, then b when it has one), then one i1 for
+	// each flag of Keep, in CF..OF order: the flags In passes through from
+	// the state before it, or all six when In is nil.
+	In   *x86.Inst
+	Keep x86.FlagSet
 }
+
+// NArgs is the number of flag args the exit call carries.
+func (e *TraceExit) NArgs() int { return flagState{in: e.In, keep: e.Keep}.nArgs() }
 
 // TraceMem is the static side of one memory intrinsic: the access width,
 // the step that performs it, and the deopt exit (a call in its own
@@ -180,12 +163,59 @@ const (
 	TraceParamXMM = 23
 )
 
+// flagState is the lazy flag state: the writer in and keep as in
+// TraceExit, and args, the IR values of the exit's flag args.
 type flagState struct {
-	kind TraceFlagKind
-	w    uint8
-	op   x86.Op // TFShift only
-	cnt  uint8  // TFShift only
+	in   *x86.Inst
+	keep x86.FlagSet
 	args []ir.Value
+}
+
+// flagShape returns the static half of the flag state after writer in, or
+// before the first write when in is nil. Which flags the writer passes
+// through is the kernel's business: emu.IntKept asks it, with the
+// writer's immediate input, if any, for its b.
+func flagShape(in *x86.Inst) flagState {
+	if in == nil {
+		return flagState{keep: x86.AllFlags}
+	}
+	_, b, _, _ := emu.IntOperands(in)
+	var imm uint64
+	if b.Kind == x86.KImm {
+		imm = uint64(b.Imm)
+	}
+	return flagState{in: in, keep: emu.IntKept(in, 0, imm)}
+}
+
+// nArgs is the number of flag args of the state's shape.
+func (st flagState) nArgs() int {
+	return kernelInputs(st.in) + bits.OnesCount8(uint8(st.keep))
+}
+
+// kept returns the arg carrying pass-through flag i.
+func (st flagState) kept(i int) ir.Value {
+	return st.args[kernelInputs(st.in)+bits.OnesCount8(uint8(st.keep)&(1<<i-1))]
+}
+
+// kernelInputs is the number of kernel inputs of flag writer in: none
+// without a writer, one for a one-input opcode, two otherwise.
+func kernelInputs(in *x86.Inst) int {
+	if in == nil {
+		return 0
+	}
+	if _, b, _, _ := emu.IntOperands(in); b.Kind == x86.KNone {
+		return 1
+	}
+	return 2
+}
+
+// writesFlags reports whether in is a flag writer of the lazy state: an
+// integer-kernel instruction that writes a flag. A shift whose count masks
+// to 0 writes none.
+func writesFlags(in *x86.Inst) bool {
+	_, w := in.FlagEffects()
+	_, _, _, ok := emu.IntOperands(in)
+	return ok && w != 0
 }
 
 type traceLifter struct {
@@ -218,7 +248,7 @@ type traceLifter struct {
 	hiFn      *ir.Func
 }
 
-// The trace parameter order and TFExplicit argument order both follow the
+// The trace parameter order and the flag args' order both follow the
 // package-wide flag component indices fCF..fOF (facets.go).
 
 func sizeMask(size uint8) uint64 {
@@ -236,7 +266,7 @@ func sizeMask(size uint8) uint64 {
 // Trace lifts a recorded superblock into a TraceProgram, or reports that
 // the recording contains an instruction the trace tier does not support.
 func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
-	shape, written, writtenX, usedX, err := scanTrace(req)
+	last, written, writtenX, usedX, err := scanTrace(req)
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +316,8 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	l.b.Br(l.header)
 
 	// Header: phis for the counter, every written register (both lanes of
-	// an XMM register), the six explicit flags, and the final recipe's
-	// dynamic inputs.
+	// an XMM register), the six explicit flags, and the flag args of the
+	// final state.
 	l.b.SetBlock(l.header)
 	l.ctrPhi = l.b.Phi(ir.I64)
 	for _, r := range l.p.RegIdx {
@@ -299,12 +329,15 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	for i := 0; i < 6; i++ {
 		l.flagPhis[i] = l.b.Phi(ir.I1)
 	}
-	if shape.kind == TFExplicit {
-		for i := 0; i < 6; i++ {
-			l.recipePhis = append(l.recipePhis, l.flagPhis[i])
-		}
+	shape := flagShape(last)
+	if last == nil {
+		l.recipePhis = l.flagPhis[:]
 	} else {
-		for _, ty := range recipeArgTypes(shape) {
+		for i := 0; i < shape.nArgs(); i++ {
+			ty := ir.I64
+			if i >= kernelInputs(last) {
+				ty = ir.I1
+			}
 			l.recipePhis = append(l.recipePhis, l.b.Phi(ty))
 		}
 	}
@@ -327,18 +360,18 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 			}
 		}
 	}
-	l.flags = flagState{kind: TFExplicit, args: []ir.Value{
-		l.flagPhis[0], l.flagPhis[1], l.flagPhis[2], l.flagPhis[3], l.flagPhis[4], l.flagPhis[5],
-	}}
+	l.flags = flagShape(nil)
+	for _, ph := range l.flagPhis {
+		l.flags.args = append(l.flags.args, ph)
+	}
 
-	// Budget-cap exit: flags at the header are the final recipe carried
+	// Budget-cap exit: flags at the header are the final state carried
 	// through the recipe phis. This exit can only execute from the second
 	// header arrival on (the caller guarantees iterCap >= 1), by which
 	// point the phis hold iteration values, never the entry-edge undefs.
 	headState := shape
-	headState.args = make([]ir.Value, len(l.recipePhis))
-	for i, ph := range l.recipePhis {
-		headState.args[i] = ph
+	for _, ph := range l.recipePhis {
+		headState.args = append(headState.args, ph)
 	}
 	capCond := l.b.ICmp(ir.PredUGE, l.ctrPhi, l.f.Params[TraceParamCap])
 	capExit := l.newExit(0, req.Head, l.ctrPhi, headState)
@@ -387,9 +420,9 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 		ir.AddIncoming(l.flagPhis[i], l.f.Params[TraceParamFlags+i], entry)
 		ir.AddIncoming(l.flagPhis[i], mats[i], backedge)
 	}
-	if finalState.kind != TFExplicit {
-		if len(finalState.args) != len(l.recipePhis) {
-			return nil, fmt.Errorf("lift: trace recipe shape drifted (%d args, phis %d)", len(finalState.args), len(l.recipePhis))
+	if last != nil {
+		if finalState.in != last || len(finalState.args) != len(l.recipePhis) {
+			return nil, fmt.Errorf("lift: trace flag state drifted (%d args, phis %d)", len(finalState.args), len(l.recipePhis))
 		}
 		for i, ph := range l.recipePhis {
 			ir.AddIncoming(ph, ir.UndefOf(ph.Type()), entry)
@@ -399,34 +432,10 @@ func Trace(req *emu.TraceRequest) (*TraceProgram, error) {
 	return l.p, nil
 }
 
-// recipeArgTypes returns the exit argument types of a recipe shape.
-func recipeArgTypes(s flagState) []*ir.Type {
-	switch s.kind {
-	case TFExplicit:
-		return []*ir.Type{ir.I1, ir.I1, ir.I1, ir.I1, ir.I1, ir.I1}
-	case TFAdd, TFSub:
-		return []*ir.Type{ir.I64, ir.I64}
-	case TFAddCF, TFSubCF:
-		return []*ir.Type{ir.I64, ir.I64, ir.I1}
-	case TFLogic:
-		return []*ir.Type{ir.I64}
-	case TFShift:
-		if s.cnt != 1 {
-			return []*ir.Type{ir.I64, ir.I64, ir.I1, ir.I1}
-		}
-		return []*ir.Type{ir.I64, ir.I64, ir.I1}
-	case TFMul:
-		return []*ir.Type{ir.I64, ir.I1}
-	}
-	return nil
-}
-
 // scanTrace rejects unsupported instructions and pre-computes the register
 // write sets (GPR and XMM), the XMM registers referenced at all, and the
-// loop-carried flag recipe shape (which pass 2 must end on — the simulation
-// below mirrors liftStep's flag updates exactly).
-func scanTrace(req *emu.TraceRequest) (shape flagState, written, writtenX, usedX [16]bool, err error) {
-	shape = flagState{kind: TFExplicit}
+// last flag writer, whose flag state the header's recipe phis carry.
+func scanTrace(req *emu.TraceRequest) (last *x86.Inst, written, writtenX, usedX [16]bool, err error) {
 	for i := range req.Steps {
 		in := req.Steps[i].In
 		if isTraceSSE(in.Op) {
@@ -458,30 +467,20 @@ func scanTrace(req *emu.TraceRequest) (shape flagState, written, writtenX, usedX
 			written[x86.RSP] = true
 		case x86.NOP, x86.ENDBR64, x86.JMP, x86.JCC:
 		case x86.MOV, x86.MOVZX, x86.MOVSX, x86.MOVSXD, x86.LEA, x86.NOT,
-			x86.CMOVCC, x86.SETCC:
-		case x86.ADD:
-			shape = flagState{kind: TFAdd, w: in.Dst.Size}
-		case x86.SUB, x86.CMP:
-			shape = flagState{kind: TFSub, w: in.Dst.Size}
-		case x86.AND, x86.OR, x86.XOR, x86.TEST:
-			shape = flagState{kind: TFLogic, w: in.Dst.Size}
-		case x86.INC:
-			shape = flagState{kind: TFAddCF, w: in.Dst.Size}
-		case x86.DEC, x86.NEG:
-			shape = flagState{kind: TFSubCF, w: in.Dst.Size}
-		case x86.IMUL, x86.IMUL3:
-			shape = flagState{kind: TFMul, w: in.Dst.Size}
+			x86.CMOVCC, x86.SETCC,
+			x86.ADD, x86.SUB, x86.CMP, x86.AND, x86.OR, x86.XOR, x86.TEST,
+			x86.INC, x86.DEC, x86.NEG, x86.IMUL, x86.IMUL3:
 		case x86.SHL, x86.SHR, x86.SAR:
 			if in.Src.Kind != x86.KImm {
 				err = unsupported("dynamic shift count at %#x", in.Addr)
 				return
 			}
-			if cnt := shiftCount(in); cnt != 0 {
-				shape = flagState{kind: TFShift, w: in.Dst.Size, op: in.Op, cnt: cnt}
-			}
 		default:
 			err = unsupported("%v at %#x", in.Op, in.Addr)
 			return
+		}
+		if writesFlags(in) {
+			last = in
 		}
 		if writesReg(in) {
 			written[in.Dst.Reg] = true
@@ -517,14 +516,6 @@ func unsupported(format string, args ...any) error {
 	return fmt.Errorf("lift: trace: %s: %w", fmt.Sprintf(format, args...), emu.ErrTraceUnsupported)
 }
 
-func shiftCount(in *x86.Inst) uint8 {
-	cnt := uint64(in.Src.Imm)
-	if in.Dst.Size == 8 {
-		return uint8(cnt & 63)
-	}
-	return uint8(cnt & 31)
-}
-
 // writesReg reports whether the instruction writes its Dst register.
 func writesReg(in *x86.Inst) bool {
 	if in.Dst.Kind != x86.KReg {
@@ -535,7 +526,7 @@ func writesReg(in *x86.Inst) bool {
 		return false
 	case x86.SHL, x86.SHR, x86.SAR:
 		// A masked-to-zero count is a complete no-op.
-		return shiftCount(in) != 0
+		return in.ShiftCount() != 0
 	}
 	return true
 }
@@ -845,15 +836,7 @@ func (l *traceLifter) newExit(steps int, rip uint64, ctr ir.Value, st flagState)
 	callee := ir.NewFunc(fmt.Sprintf("trace.exit%d", l.nextExit), ir.Void, ptypes...)
 	call := l.b.Call(callee, args...)
 	l.b.Unreachable()
-	l.p.Exits[call] = &TraceExit{
-		Steps:    uint64(steps),
-		RIP:      rip,
-		Kind:     st.kind,
-		W:        st.w,
-		ShiftOp:  st.op,
-		ShiftCnt: st.cnt,
-		NArgs:    len(st.args),
-	}
+	l.p.Exits[call] = &TraceExit{Steps: uint64(steps), RIP: rip, In: st.in, Keep: st.keep}
 	l.nextExit++
 	l.b.SetBlock(cur)
 	return call
@@ -865,125 +848,152 @@ func (l *traceLifter) newExit(steps int, rip uint64, ctr ir.Value, st flagState)
 func (l *traceLifter) matFlag(i int) ir.Value { return l.matFlagOf(l.flags, i) }
 
 func (l *traceLifter) matFlagOf(st flagState, i int) ir.Value {
+	if st.keep&(1<<i) != 0 {
+		return st.kept(i)
+	}
+	in, a, b := st.in, st.args[0], st.b()
+	w := in.Dst.Size
+	res := l.result(in, a, b)
 	zero := ir.Int(ir.I64, 0)
-	switch st.kind {
-	case TFExplicit:
-		return st.args[i]
-	case TFAdd, TFAddCF, TFSub, TFSubCF:
-		a, bb := st.args[0], st.args[1]
-		var res ir.Value
-		add := st.kind == TFAdd || st.kind == TFAddCF
-		if add {
-			res = l.mask(l.b.Add(a, bb), st.w)
-		} else {
-			res = l.mask(l.b.Sub(a, bb), st.w)
+	switch i {
+	case fZF:
+		return l.b.ICmp(ir.PredEQ, res, zero)
+	case fSF:
+		return l.signTest(res, w)
+	case fPF:
+		return l.parityOf(res)
+	}
+	// CF, OF and AF, where the writer does not pass them through.
+	switch in.Op {
+	case x86.AND, x86.OR, x86.XOR, x86.TEST:
+		return ir.Bool(false)
+	case x86.IMUL, x86.IMUL3:
+		if w == 8 {
+			return mulOverflow64(l.b, a, b)
 		}
-		switch i {
-		case fCF:
-			if st.kind == TFAddCF || st.kind == TFSubCF {
-				return st.args[2]
-			}
-			if add {
-				return l.b.ICmp(ir.PredULT, res, a)
-			}
-			return l.b.ICmp(ir.PredULT, a, bb)
-		case fOF:
-			var tmp ir.Value
-			if add {
-				tmp = l.b.And(l.b.Xor(a, res), l.b.Xor(bb, res))
-			} else {
-				tmp = l.b.And(l.b.Xor(a, bb), l.b.Xor(a, res))
-			}
-			return l.signTest(tmp, st.w)
-		case fAF:
-			fifteen := ir.Int(ir.I64, 0xF)
-			an, bn := l.b.And(a, fifteen), l.b.And(bb, fifteen)
-			if add {
-				return l.b.ICmp(ir.PredUGT, l.b.Add(an, bn), fifteen)
-			}
-			return l.b.ICmp(ir.PredULT, an, bn)
-		case fZF:
-			return l.b.ICmp(ir.PredEQ, res, zero)
-		case fSF:
-			return l.signTest(res, st.w)
-		case fPF:
-			return l.parityOf(res)
+		return l.b.ICmp(ir.PredNE, l.sext64(res, w), l.b.Mul(l.sext64(a, w), l.sext64(b, w)))
+	case x86.SHL, x86.SHR, x86.SAR:
+		if i == fOF { // a count of 1: the sign changed
+			return l.signTest(l.b.Xor(res, a), w)
 		}
-	case TFLogic:
-		res := st.args[0]
-		switch i {
-		case fCF, fOF, fAF:
-			return ir.Bool(false)
-		case fZF:
-			return l.b.ICmp(ir.PredEQ, res, zero)
-		case fSF:
-			return l.signTest(res, st.w)
-		case fPF:
-			return l.parityOf(res)
-		}
-	case TFShift:
-		v, res, af := st.args[0], st.args[1], st.args[2]
-		width := uint(st.w) * 8
-		switch i {
-		case fAF:
-			return af
-		case fCF:
-			cnt := uint(st.cnt)
-			switch st.op {
-			case x86.SHL:
-				if cnt > width {
-					return ir.Bool(false)
-				}
-				return l.b.ICmp(ir.PredNE,
-					l.b.And(l.b.LShr(v, ir.Int(ir.I64, uint64(width-cnt))), ir.Int(ir.I64, 1)), zero)
-			case x86.SAR: // the sign bit once cnt reaches the width
-				return l.b.ICmp(ir.PredNE,
-					l.b.And(l.b.AShr(l.sext64(v, st.w), ir.Int(ir.I64, uint64(cnt-1))), ir.Int(ir.I64, 1)), zero)
-			}
-			return l.b.ICmp(ir.PredNE,
-				l.b.And(l.b.LShr(v, ir.Int(ir.I64, uint64(cnt-1))), ir.Int(ir.I64, 1)), zero)
-		case fOF:
-			if st.cnt == 1 {
-				return l.signTest(l.b.Xor(res, v), st.w)
-			}
-			return st.args[3]
-		case fZF:
-			return l.b.ICmp(ir.PredEQ, res, zero)
-		case fSF:
-			return l.signTest(res, st.w)
-		case fPF:
-			return l.parityOf(res)
-		}
-	case TFMul:
-		full, af := st.args[0], st.args[1]
-		res := l.mask(full, st.w)
-		switch i {
-		case fAF:
-			return af
-		case fCF, fOF:
-			if st.w == 8 {
+		width, cnt := uint64(w)*8, in.ShiftCount()
+		switch in.Op {
+		case x86.SHL:
+			if cnt > width {
 				return ir.Bool(false)
 			}
-			return l.b.ICmp(ir.PredNE, l.sext64(res, st.w), full)
-		case fZF:
-			return l.b.ICmp(ir.PredEQ, res, zero)
-		case fSF:
-			return l.signTest(res, st.w)
-		case fPF:
-			return l.parityOf(res)
+			return l.bit(a, width-cnt)
+		case x86.SAR: // the sign bit once cnt reaches the width
+			return l.bit(l.sext64(a, w), cnt-1)
+		}
+		return l.bit(a, cnt-1)
+	}
+	// The add and subtract family: x + y or x - y.
+	x, y, sub := a, b, false
+	switch in.Op {
+	case x86.INC:
+		y = ir.Int(ir.I64, 1)
+	case x86.SUB, x86.CMP:
+		sub = true
+	case x86.DEC:
+		y, sub = ir.Int(ir.I64, 1), true
+	case x86.NEG:
+		x, y, sub = zero, a, true
+	}
+	switch i {
+	case fCF:
+		if sub {
+			return l.b.ICmp(ir.PredULT, x, y)
+		}
+		return l.b.ICmp(ir.PredULT, res, x)
+	case fOF:
+		if sub {
+			return l.signTest(l.b.And(l.b.Xor(x, y), l.b.Xor(x, res)), w)
+		}
+		return l.signTest(l.b.And(l.b.Xor(x, res), l.b.Xor(y, res)), w)
+	}
+	// AF: the carry out of, or borrow into, the low nibble.
+	fifteen := ir.Int(ir.I64, 0xF)
+	xn, yn := l.b.And(x, fifteen), l.b.And(y, fifteen)
+	if sub {
+		return l.b.ICmp(ir.PredULT, xn, yn)
+	}
+	return l.b.ICmp(ir.PredUGT, l.b.Add(xn, yn), fifteen)
+}
+
+// b returns the writer's second kernel input, nil for a one-input opcode.
+func (st flagState) b() ir.Value {
+	if kernelInputs(st.in) < 2 {
+		return nil
+	}
+	return st.args[1]
+}
+
+// bit returns bit n of v as an i1.
+func (l *traceLifter) bit(v ir.Value, n uint64) ir.Value {
+	return l.b.ICmp(ir.PredNE, l.b.And(l.b.LShr(v, ir.Int(ir.I64, n)), ir.Int(ir.I64, 1)), ir.Int(ir.I64, 0))
+}
+
+// result builds the value the flag writer in computes from its kernel
+// inputs a and b (nil for a one-input opcode), masked to its width. a and b
+// are masked already.
+func (l *traceLifter) result(in *x86.Inst, a, b ir.Value) ir.Value {
+	w := in.Dst.Size
+	one := ir.Int(ir.I64, 1)
+	switch in.Op {
+	case x86.ADD:
+		return l.mask(l.b.Add(a, b), w)
+	case x86.INC:
+		return l.mask(l.b.Add(a, one), w)
+	case x86.SUB, x86.CMP:
+		return l.mask(l.b.Sub(a, b), w)
+	case x86.DEC:
+		return l.mask(l.b.Sub(a, one), w)
+	case x86.NEG:
+		return l.mask(l.b.Sub(ir.Int(ir.I64, 0), a), w)
+	case x86.AND, x86.TEST:
+		return l.b.And(a, b)
+	case x86.OR:
+		return l.b.Or(a, b)
+	case x86.XOR:
+		return l.b.Xor(a, b)
+	case x86.IMUL, x86.IMUL3:
+		return l.mask(l.b.Mul(l.sext64(a, w), l.sext64(b, w)), w)
+	}
+	cnt := ir.Int(ir.I64, in.ShiftCount())
+	switch in.Op {
+	case x86.SHL:
+		return l.mask(l.b.Shl(a, cnt), w)
+	case x86.SAR:
+		return l.mask(l.b.AShr(l.sext64(a, w), cnt), w)
+	}
+	return l.b.LShr(a, cnt) // SHR: a is masked, so its high bits are zero
+}
+
+// setFlags makes in, with kernel inputs a and b (nil for a one-input
+// opcode), the last flag writer. The flags it passes through are
+// materialized from the state before it.
+func (l *traceLifter) setFlags(in *x86.Inst, a, b ir.Value) {
+	st := flagShape(in)
+	st.args = []ir.Value{a}
+	if b != nil {
+		st.args = append(st.args, b)
+	}
+	for i := 0; i < 6; i++ {
+		if st.keep&(1<<i) != 0 {
+			st.args = append(st.args, l.matFlag(i))
 		}
 	}
-	panic("trace: unhandled flag materialization")
+	l.flags = st
 }
 
 // cond builds the i1 value of an x86 condition over the current flag state,
-// with direct integer-compare fast paths for the dominant sub/cmp and
-// logic-op recipes.
+// with direct integer-compare fast paths for a sub or cmp writer.
 func (l *traceLifter) cond(c x86.Cond) ir.Value {
 	neg := c&1 == 1
 	base := c &^ 1
 	st := l.flags
-	if st.kind == TFSub {
+	if st.in != nil && (st.in.Op == x86.SUB || st.in.Op == x86.CMP) {
 		a, bb := st.args[0], st.args[1]
 		var pred ir.Pred
 		ok := true
@@ -1020,7 +1030,7 @@ func (l *traceLifter) cond(c x86.Cond) ir.Value {
 			ok = false
 		}
 		if ok {
-			return l.b.ICmp(pred, l.sext64(a, st.w), l.sext64(bb, st.w))
+			return l.b.ICmp(pred, l.sext64(a, st.in.Dst.Size), l.sext64(bb, st.in.Dst.Size))
 		}
 	}
 	// Generic: compose CondHoldsIn's formula from materialized flags.
@@ -1074,107 +1084,27 @@ func (l *traceLifter) liftStep(k int, st *emu.TraceStep) error {
 	case x86.LEA:
 		l.cur[in.Dst.Reg] = l.regMerge(in.Dst.Reg, in.Dst.Size, l.ea(in, in.Src))
 
-	case x86.ADD, x86.SUB, x86.CMP, x86.AND, x86.OR, x86.XOR, x86.TEST:
-		size := in.Dst.Size
-		a := l.readOpVal(k, in, in.Dst, size)
-		bb := l.readOpVal(k, in, in.Src, size)
-		var res ir.Value
-		var kind TraceFlagKind
-		var fargs []ir.Value
-		switch in.Op {
-		case x86.ADD:
-			res = l.b.Add(a, bb)
-			kind, fargs = TFAdd, []ir.Value{a, bb}
-		case x86.SUB, x86.CMP:
-			res = l.b.Sub(a, bb)
-			kind, fargs = TFSub, []ir.Value{a, bb}
-		case x86.AND, x86.TEST:
-			res = l.b.And(a, bb)
-			kind, fargs = TFLogic, nil
-		case x86.OR:
-			res = l.b.Or(a, bb)
-			kind, fargs = TFLogic, nil
-		case x86.XOR:
-			res = l.b.Xor(a, bb)
-			kind, fargs = TFLogic, nil
-		}
-		res = l.mask(res, size)
-		if kind == TFLogic {
-			fargs = []ir.Value{res}
-		}
-		if in.Op != x86.CMP && in.Op != x86.TEST {
-			l.writeDst(k, in, in.Dst, res)
-		}
-		l.flags = flagState{kind: kind, w: size, args: fargs}
-
 	case x86.NOT:
 		size := in.Dst.Size
 		v := l.readOpVal(k, in, in.Dst, size)
 		l.writeDst(k, in, in.Dst, l.b.Xor(v, ir.Int(ir.I64, sizeMask(size))))
-	case x86.NEG:
-		size := in.Dst.Size
-		v := l.readOpVal(k, in, in.Dst, size)
-		cf := l.b.ICmp(ir.PredNE, v, ir.Int(ir.I64, 0))
-		res := l.mask(l.b.Sub(ir.Int(ir.I64, 0), v), size)
-		l.writeDst(k, in, in.Dst, res)
-		l.flags = flagState{kind: TFSubCF, w: size, args: []ir.Value{ir.Int(ir.I64, 0), v, cf}}
-	case x86.INC, x86.DEC:
-		size := in.Dst.Size
-		cf := l.matFlag(fCF) // INC/DEC preserve CF from the previous state
-		v := l.readOpVal(k, in, in.Dst, size)
-		one := ir.Int(ir.I64, 1)
-		if in.Op == x86.INC {
-			res := l.mask(l.b.Add(v, one), size)
-			l.writeDst(k, in, in.Dst, res)
-			l.flags = flagState{kind: TFAddCF, w: size, args: []ir.Value{v, one, cf}}
-		} else {
-			res := l.mask(l.b.Sub(v, one), size)
-			l.writeDst(k, in, in.Dst, res)
-			l.flags = flagState{kind: TFSubCF, w: size, args: []ir.Value{v, one, cf}}
-		}
 
-	case x86.IMUL, x86.IMUL3:
-		af := l.matFlag(fAF) // IMUL leaves AF as-is
-		var a, bb ir.Value
-		if in.Op == x86.IMUL {
-			a = l.sext64(l.readOpVal(k, in, in.Dst, in.Dst.Size), in.Dst.Size)
-			bb = l.sext64(l.readOpVal(k, in, in.Src, in.Src.Size), in.Src.Size)
-		} else {
-			a = l.sext64(l.readOpVal(k, in, in.Src, in.Src.Size), in.Src.Size)
-			bb = ir.Int(ir.I64, uint64(in.Src2.Imm))
+	case x86.ADD, x86.SUB, x86.CMP, x86.AND, x86.OR, x86.XOR, x86.TEST,
+		x86.NEG, x86.INC, x86.DEC, x86.IMUL, x86.IMUL3, x86.SHL, x86.SHR, x86.SAR:
+		if !writesFlags(in) {
+			return nil // a shift whose count masks to 0: no write, no flags
 		}
-		full := l.b.Mul(a, bb)
-		l.writeDst(k, in, in.Dst, l.mask(full, in.Dst.Size))
-		l.flags = flagState{kind: TFMul, w: in.Dst.Size, args: []ir.Value{full, af}}
-
-	case x86.SHL, x86.SHR, x86.SAR:
-		size := in.Dst.Size
-		cnt := shiftCount(in)
-		if cnt == 0 {
-			return nil // no write, no flags
+		ao, bo, out, _ := emu.IntOperands(in)
+		size := ao.Size
+		a := l.readOpVal(k, in, ao, size)
+		var b ir.Value
+		if bo.Kind != x86.KNone {
+			b = l.readOpVal(k, in, bo, size)
 		}
-		af := l.matFlag(fAF) // shifts leave AF as-is
-		var of ir.Value
-		if cnt != 1 {
-			of = l.matFlag(fOF) // and OF, except for 1-bit shifts
+		if in.Op != x86.CMP && in.Op != x86.TEST {
+			l.writeDst(k, in, out, l.result(in, a, b))
 		}
-		v := l.readOpVal(k, in, in.Dst, size)
-		cv := ir.Int(ir.I64, uint64(cnt))
-		var res ir.Value
-		switch in.Op {
-		case x86.SHL:
-			res = l.mask(l.b.Shl(v, cv), size)
-		case x86.SHR:
-			res = l.b.LShr(v, cv) // v is masked; high bits already zero
-		case x86.SAR:
-			res = l.mask(l.b.AShr(l.sext64(v, size), cv), size)
-		}
-		l.writeDst(k, in, in.Dst, res)
-		fargs := []ir.Value{v, res, af}
-		if cnt != 1 {
-			fargs = append(fargs, of)
-		}
-		l.flags = flagState{kind: TFShift, w: size, op: in.Op, cnt: cnt, args: fargs}
+		l.setFlags(in, a, b)
 
 	case x86.CMOVCC:
 		cond := l.cond(in.Cond)

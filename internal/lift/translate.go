@@ -81,7 +81,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		} else {
 			res = b.Add(a, c)
 		}
-		l.setArithFlags(s, x86.AllFlags, isSub, a, c, res)
+		l.setArithFlags(s, x86.AllFlags, isSub, a, c, res, nil)
 		if in.Op == x86.CMP {
 			// Record pointer facets of both operands so equality/unsigned
 			// conditions compare pointers (one induction chain, not two).
@@ -113,14 +113,17 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.ADC, x86.SBB:
 		a := l.readIntOperand(s, in, in.Dst)
 		c := l.matchWidth(l.readIntOperand(s, in, in.Src), a.Type())
-		carry := b.ZExt(s.readFlag(fCF), a.Type())
+		cin := s.readFlag(fCF)
+		carry := b.ZExt(cin, a.Type())
 		var res ir.Value
-		if in.Op == x86.ADC {
-			res = b.Add(b.Add(a, c), carry)
-		} else {
+		isSub := in.Op == x86.SBB
+		if isSub {
 			res = b.Sub(b.Sub(a, c), carry)
+		} else {
+			res = b.Add(b.Add(a, c), carry)
 		}
-		l.setResultFlagsOnly(s, res)
+		l.setArithFlags(s, x86.AllFlags, isSub, a, c, res, cin)
+		s.fc = flagCache{} // the carry in is not in the cached operands
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
 
@@ -158,7 +161,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 	case x86.NEG:
 		a := l.readIntOperand(s, in, in.Dst)
 		res := b.Sub(ir.Int(a.Type(), 0), a)
-		l.setArithFlags(s, x86.AllFlags, true, ir.Int(a.Type(), 0), a, res)
+		l.setArithFlags(s, x86.AllFlags, true, ir.Int(a.Type(), 0), a, res, nil)
 		s.fc = flagCache{} // CF differs from plain sub semantics
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
@@ -173,7 +176,7 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		} else {
 			res = b.Add(a, one)
 		}
-		l.setArithFlags(s, x86.AllFlags&^x86.FlagCF, isSub, a, one, res)
+		l.setArithFlags(s, x86.AllFlags&^x86.FlagCF, isSub, a, one, res, nil)
 		s.fc = flagCache{}
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
@@ -182,13 +185,14 @@ func (l *Lifter) translate(s *state, in *x86.Inst, sig abi.Signature) error {
 		a := l.readIntOperand(s, in, in.Dst)
 		c := l.matchWidth(l.readIntOperand(s, in, in.Src), a.Type())
 		res := b.Mul(a, c)
-		l.setResultFlagsOnly(s, res)
+		l.setMulFlags(s, a, c, res)
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
 	case x86.IMUL3:
 		c := l.readIntOperand(s, in, in.Src)
-		res := b.Mul(c, ir.Int(c.Type(), uint64(in.Src2.Imm)))
-		l.setResultFlagsOnly(s, res)
+		imm := ir.Int(c.Type(), uint64(in.Src2.Imm))
+		res := b.Mul(c, imm)
+		l.setMulFlags(s, c, imm, res)
 		l.writeIntOperand(s, in, in.Dst, res, nil)
 		return nil
 	case x86.MUL:

@@ -42,7 +42,7 @@ func (c Cond) Reads() FlagSet {
 // always writes. A flag x86 leaves undefined counts as written. Opcodes
 // missing here neither read nor write a flag; ret reads none (SysV ABI), and
 // a call writes all six, so none is live across it.
-var flagOps = [opCount]struct{ read, written FlagSet }{
+var flagOps = [OpCount]struct{ read, written FlagSet }{
 	ADD: {0, AllFlags}, SUB: {0, AllFlags}, CMP: {0, AllFlags}, NEG: {0, AllFlags},
 	ADC: {FlagCF, AllFlags}, SBB: {FlagCF, AllFlags},
 	AND: {0, AllFlags}, OR: {0, AllFlags}, XOR: {0, AllFlags}, TEST: {0, AllFlags},

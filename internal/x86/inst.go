@@ -137,7 +137,8 @@ const (
 	UCOMISS
 	MOVMSKPD
 
-	opCount
+	// OpCount is the number of opcodes, for tables indexed by Op.
+	OpCount
 )
 
 var opNames = map[Op]string{
